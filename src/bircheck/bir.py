@@ -238,10 +238,6 @@ def const(width, val):
     return _intern(Const, ("c", ty, val), ty, val)
 
 
-def const_of(ty, val):
-    return const(ty.width, val)
-
-
 def den(var):
     return _intern(Den, ("d", var.name, var.ty), var)
 

@@ -1,7 +1,21 @@
 """Command-line front end for the lift / symex / verify pipeline.
 
 Exit codes: 0 verified (or success), 1 refuted (or simulation failure),
-2 input/usage error, 3 unknown (budget or solver limits).
+2 input/usage error, 3 unknown (budget or solver limits), 4 solver error
+(crash, unparsable output, a model that fails re-evaluation, an unencodable
+term).
+
+verify, symex and bench share the engine flags; their defaults are the
+EngineConfig / SolverConfig field defaults, and both classes validate them:
+  --solver CMD          solver command line (default: the bundled bircheck-smt,
+                        or BIRCHECK_SOLVER when set)
+  --timeout S           per-obligation solver timeout in seconds (30.0)
+  --unroll N            loop unroll bound (0)
+  --max-states N        state budget (4096)
+  --max-steps N         step budget (20000)
+  --abbrev-threshold N  node count above which an expression is abbreviated (64)
+  --pool N              solver subprocess pool size (4)
+  --dump-smt DIR        dump every obligation as a .smt2 file (off)
 """
 
 from __future__ import annotations
@@ -10,78 +24,48 @@ import argparse
 import csv
 import json
 import shlex
-import shutil
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import bir, disasm, isa, lifter, symexec, contracts
 from .corpus import fixture, fixture_names, fixture_config
 from .lifter import LiftError
-from .smt import SolverConfig, default_solver_argv
+from .smt import SmtError, SolverConfig
 from .symexec import EngineConfig
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INPUT = 2
 EXIT_UNKNOWN = 3
-
-
-@dataclass
-class RunConfig:
-    solver_argv: list = field(default_factory=default_solver_argv)
-    timeout: float = 30.0
-    unroll: int = 0
-    max_states: int = 4096
-    max_steps: int = 20000
-    abbrev_threshold: int = 64
-    pool: int = 4
-    fmt: str = "text"
-    smt_dump: str | None = None
-
-    def __post_init__(self):
-        if self.timeout < 0 or self.unroll < 0 or self.max_states <= 0 or \
-                self.max_steps <= 0 or self.abbrev_threshold <= 0 or self.pool <= 0:
-            raise ValueError("budgets must be positive")
-        head = self.solver_argv[0]
-        if shutil.which(head) is None:
-            raise ValueError(f"solver executable {head!r} not found")
-
-    def solver(self):
-        return SolverConfig(argv=list(self.solver_argv), timeout=self.timeout,
-                            dump_dir=self.smt_dump, pool=self.pool)
-
-    def engine(self, **overrides):
-        kw = dict(unroll=self.unroll, max_states=self.max_states,
-                  max_steps=self.max_steps, abbrev_threshold=self.abbrev_threshold)
-        kw.update(overrides)
-        return EngineConfig(**kw)
+EXIT_ERROR = 4
 
 
 def add_engine_flags(p):
     p.add_argument("--solver", help="solver command line (default: bundled bircheck-smt; "
                                     "also via BIRCHECK_SOLVER)")
-    p.add_argument("--timeout", type=float, default=30.0,
+    p.add_argument("--timeout", type=float, default=SolverConfig.timeout,
                    help="per-obligation solver timeout in seconds")
-    p.add_argument("--unroll", type=int, default=0, help="loop unroll bound")
-    p.add_argument("--max-states", type=int, default=4096)
-    p.add_argument("--max-steps", type=int, default=20000)
-    p.add_argument("--abbrev-threshold", type=int, default=64)
-    p.add_argument("--pool", type=int, default=4, help="solver subprocess pool size")
+    p.add_argument("--unroll", type=int, default=EngineConfig.unroll,
+                   help="loop unroll bound")
+    p.add_argument("--max-states", type=int, default=EngineConfig.max_states)
+    p.add_argument("--max-steps", type=int, default=EngineConfig.max_steps)
+    p.add_argument("--abbrev-threshold", type=int, default=EngineConfig.abbrev_threshold)
+    p.add_argument("--pool", type=int, default=SolverConfig.pool,
+                   help="solver subprocess pool size")
     p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
     p.add_argument("--dump-smt", dest="smt_dump", metavar="DIR",
                    help="dump every obligation as a .smt2 file")
 
 
-def run_config(args) -> RunConfig:
-    kw = {}
-    if getattr(args, "solver", None):
-        kw["solver_argv"] = shlex.split(args.solver)
-    for name in ("timeout", "unroll", "max_states", "max_steps",
-                 "abbrev_threshold", "pool", "fmt", "smt_dump"):
-        if hasattr(args, name):
-            kw[name] = getattr(args, name)
-    return RunConfig(**kw)
+def engine_config(args) -> EngineConfig:
+    return EngineConfig(unroll=args.unroll, max_states=args.max_states,
+                        max_steps=args.max_steps, abbrev_threshold=args.abbrev_threshold)
+
+
+def solver_config(args) -> SolverConfig:
+    argv = {"argv": shlex.split(args.solver)} if args.solver else {}
+    return SolverConfig(timeout=args.timeout, dump_dir=args.smt_dump, pool=args.pool,
+                        **argv)
 
 
 def _load_slice(path, entry, ends):
@@ -104,14 +88,14 @@ def cmd_lift(args):
 
 
 def cmd_verify(args):
-    cfg = run_config(args)
+    engine, solver = engine_config(args), solver_config(args)
     with open(args.contract) as f:
         rc = contracts.parse_contract(f.read())
     sl = _load_slice(args.disasm, rc.entry, rc.endpoints)
     prog, lm = lifter.lift_slice(sl)
     bc = contracts.to_bir(rc, prog)
-    res = contracts.verify(bc, cfg.engine(), cfg.solver())
-    if cfg.fmt == "json":
+    res = contracts.verify(bc, engine, solver)
+    if args.fmt == "json":
         print(json.dumps(res.to_json_dict(), indent=2))
     else:
         print(f"{rc.name}: {res.verdict}")
@@ -132,7 +116,7 @@ def cmd_verify(args):
 
 
 def cmd_symex(args):
-    cfg = run_config(args)
+    engine, solver = engine_config(args), solver_config(args)
     if args.contract:
         with open(args.contract) as f:
             rc = contracts.parse_contract(f.read())
@@ -153,12 +137,12 @@ def cmd_symex(args):
     sl = _load_slice(args.disasm, entry, ends)
     prog, _ = lifter.lift_slice(sl)
     try:
-        st = symexec.execute(prog, entry, ends, forbidden, pre, cfg.engine(),
-                             cfg.solver(), extra_vars=extra)
+        st = symexec.execute(prog, entry, ends, forbidden, pre, engine, solver,
+                             extra_vars=extra)
     except symexec.EngineError as e:
         print(f"symbolic execution failed: {e}", file=sys.stderr)
         return EXIT_UNKNOWN
-    print(symexec.structure_to_json(st) if cfg.fmt == "json"
+    print(symexec.structure_to_json(st) if args.fmt == "json"
           else symexec.structure_to_text(st))
     return EXIT_OK
 
@@ -210,7 +194,7 @@ def _bench_targets(args):
 
 
 def cmd_bench(args):
-    cfg = run_config(args)
+    engine, solver = engine_config(args), solver_config(args)
     rows = []
     for name, dis, rc in _bench_targets(args):
         unit = disasm.parse_objdump(dis)
@@ -225,11 +209,11 @@ def cmd_bench(args):
             pre, forbidden, extra = bir.true_exp, set(), []
         sl = disasm.make_slice(unit, entry, ends)
         prog, _ = lifter.lift_slice(sl)
-        config = fixture_config(name) if not args.corpus_dir else cfg.engine()
+        config = fixture_config(name) if not args.corpus_dir else engine
         t0 = time.perf_counter()
         try:
             st = symexec.execute(prog, entry, ends, forbidden, pre, config,
-                                 cfg.solver(), extra_vars=extra)
+                                 solver, extra_vars=extra)
             dt = time.perf_counter() - t0
             rows.append({"name": name, "instrs": n_instr, "leaves": len(st.leaves),
                          "seconds": round(dt, 4)})
@@ -299,6 +283,9 @@ def main(argv=None):
             isa.UnsupportedInstr, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except SmtError as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

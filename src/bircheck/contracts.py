@@ -555,8 +555,7 @@ def verify(bc: BirContract, config: symexec.EngineConfig | None = None,
             continue
         goal = bir.subst(bc.post[leaf.at], var_map=leaf.env)
         goal = symexec.simplify_exp(goal, path=leaf.path, abbrevs=leaf.abbrevs,
-                                    solver=solver, passes=config.simplify_passes,
-                                    use_solver=config.use_solver_mem_rules)
+                                    solver=solver)
         obl = Obligation("entailment", (leaf.path,), goal,
                          origin=f"post@0x{leaf.at:x}", defs=leaf.abbrevs)
         t0 = time.perf_counter()
@@ -593,19 +592,6 @@ def _model_of_state(state, solver, log):
 
 # ---------------------------------------------------------------------------
 # Concrete replay and sampling
-
-def env_from_model(program, model, extra_vars=()):
-    """Initial concrete environment named by the model's s_<var> symbols."""
-    env = {}
-    for v in list(program.variables()) + list(extra_vars):
-        if v in env:
-            continue
-        got = model.get(f"s_{v.name}")
-        if got is None:
-            got = {} if v.ty is bir.Mem else 0
-        env[v] = dict(got) if isinstance(got, dict) else got
-    return env
-
 
 def machine_from_model(model) -> isa.MachineState:
     m = isa.MachineState()
@@ -736,16 +722,6 @@ class RiscvReport:
     status: str            # "holds (tested)" | "unknown" | "invalid"
     evidence: list         # {name, passed, detail}
     cause: str = ""
-
-    def to_text(self):
-        out = [f"riscv contract report for {self.program}: {self.status}"]
-        if self.cause:
-            out.append(f"  cause: {self.cause}")
-        for ev in self.evidence:
-            mark = "pass" if ev["passed"] else "FAIL"
-            detail = f" ({ev['detail']})" if ev.get("detail") else ""
-            out.append(f"  [{mark}] {ev['name']}{detail}")
-        return "\n".join(out)
 
     def to_json_dict(self):
         return {"schema": "bircheck-backlift/1", "program": self.program,

@@ -58,12 +58,6 @@ def _eq(a, b):
     return RCmp("eq", a, b)
 
 
-def _gpr_params(pairs):
-    pre = tuple(_eq(RGpr(i), RParam(p)) for i, p in pairs)
-    params = tuple(Param(p) for _, p in pairs)
-    return pre, params
-
-
 # ---------------------------------------------------------------------------
 
 INCR_LISTING = """\

@@ -70,12 +70,6 @@ class DisassemblyUnit:
         for _, instrs in self.sections:
             yield from instrs
 
-    def find(self, addr):
-        for ri in self.all_instrs():
-            if ri.address == addr:
-                return ri
-        return None
-
 
 @dataclass(frozen=True)
 class ProgramSlice:

@@ -45,19 +45,6 @@ def csrvar(name):
     return _CSRVARS[name]
 
 
-def var_for_name(name):
-    """The lift-convention variable for a name like 'x10', 'MEM8' or 'mepc'."""
-    if name == "MEM8":
-        return MEM8
-    if name == "tmp64":
-        return TMP
-    if name in _CSRVARS:
-        return _CSRVARS[name]
-    if name.startswith("x"):
-        return _XVARS[int(name[1:])]
-    raise LiftError(f"unknown lift variable {name!r}")
-
-
 @dataclass
 class LiftMap:
     """Label -> source instruction correspondence for a lifted slice."""
@@ -355,10 +342,6 @@ class SimReport:
     @property
     def passed(self):
         return not self.failures
-
-    def summary(self):
-        status = "pass" if self.passed else f"FAIL ({len(self.failures)} mismatches)"
-        return f"{self.kind:8s} {self.trials} trials: {status}"
 
 
 def check_simulation(i: Instr, addr: int, trials: int, seed: int,

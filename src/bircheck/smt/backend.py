@@ -2,9 +2,10 @@
 
 Obligations are checked one-shot: a QF_ABV script is written to the solver's
 stdin and the sat/unsat/unknown verdict (plus a model, when sat) is read back.
-The bundled `bircheck-smt` solver is used when no external solver is
-configured; any SMTLIB2 solver supporting QF_ABV (e.g. z3) works via
-`SolverConfig(argv=["z3", "-in"])` or the BIRCHECK_SOLVER environment variable.
+The bundled `bircheck-smt` solver (run as `python -S minismt.py`) is used
+when no external solver is configured; any SMTLIB2 solver supporting QF_ABV
+(e.g. z3) works via `SolverConfig(argv=["z3", "-in"])` or the BIRCHECK_SOLVER
+environment variable.
 
 Every sat model is re-evaluated through the concrete expression evaluator
 before being trusted; a model that does not satisfy the asserted terms is a
@@ -13,8 +14,10 @@ hard error.
 
 from __future__ import annotations
 
+import math
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -86,16 +89,30 @@ def default_solver_argv():
     env = os.environ.get("BIRCHECK_SOLVER")
     if env:
         return shlex.split(env)
-    return [sys.executable, "-m", "bircheck.smt.minismt"]
+    # minismt.py imports only sys, so it runs as a plain script: the child
+    # needs no importable bircheck (no PYTHONPATH) and skips the package's
+    # imports, and -S skips site set-up. Together they cut one round trip
+    # from about 0.23 s to 0.05 s, almost all of it interpreter start-up.
+    return [sys.executable, "-S", os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                               "minismt.py")]
 
 
 @dataclass
 class SolverConfig:
     argv: list = field(default_factory=default_solver_argv)
-    timeout: float = 30.0
+    timeout: float | None = 30.0   # seconds; None waits forever, 0 answers unknown
     dump_dir: str | None = None
     pool: int = 4
     _dump_counter: int = 0
+
+    def __post_init__(self):
+        if self.timeout is not None and not 0 <= self.timeout < math.inf:
+            raise ValueError("solver timeout must be a finite number >= 0")
+        if self.pool <= 0:
+            raise ValueError("solver pool size must be positive")
+        head = self.argv[0] if self.argv else ""
+        if shutil.which(head) is None:
+            raise ValueError(f"solver executable {head!r} not found")
 
 
 # ---------------------------------------------------------------------------

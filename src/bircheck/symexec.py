@@ -87,9 +87,6 @@ class SymbolicState:
     def with_(self, **kw):
         return replace(self, **kw)
 
-    def abbrev_defs(self):
-        return self.abbrevs
-
 
 @dataclass(frozen=True)
 class SymbolicStructure:
@@ -105,11 +102,13 @@ class EngineConfig:
     max_steps: int = 20_000
     max_states: int = 4_096
     abbrev_threshold: int = 64
-    max_indirect_targets: int = 16
-    simplify_passes: int = 3
-    use_solver_mem_rules: bool = True
-    do_simplify: bool = True
     do_abbreviate: bool = True
+
+    def __post_init__(self):
+        if self.unroll < 0:
+            raise ValueError("unroll bound must be >= 0")
+        if self.max_states <= 0 or self.max_steps <= 0 or self.abbrev_threshold <= 0:
+            raise ValueError("engine budgets must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +187,6 @@ def _split_base(e):
     if isinstance(e, Const):
         return None, (e.val + off) & bir.mask(w)
     return e, off & bir.mask(w)
-
-
-def _is_ground(e):
-    return not bir.collect_syms(e) and not _dens_of(e)
 
 
 class Simplifier:
@@ -340,11 +335,6 @@ class Simplifier:
 
     # -- memory rules ----------------------------------------------------------
 
-    def _lookup_abbrev(self, e):
-        if isinstance(e, Sym):
-            return self.abbrevs.get(e)
-        return None
-
     def _rule_load(self, mem, addr, width):
         nbytes = width // 8
         bb, ob = _split_base(addr)
@@ -428,13 +418,10 @@ def simplify_exp(e, path=None, abbrevs=(), solver=None, passes=3, use_solver=Tru
     return Simplifier(path, abbrevs, solver, passes, use_solver).simplify(e)
 
 
-def simplify(sbar: SymbolicState, solver: SolverConfig | None = None,
-             config: EngineConfig | None = None) -> SymbolicState:
+def simplify(sbar: SymbolicState, solver: SolverConfig | None = None) -> SymbolicState:
     """Rewrite all state expressions; meaning is preserved for every
     interpretation satisfying the path condition."""
-    config = config or EngineConfig()
-    sim = Simplifier(sbar.path, sbar.abbrevs, solver, config.simplify_passes,
-                     config.use_solver_mem_rules)
+    sim = Simplifier(sbar.path, sbar.abbrevs, solver)
     new_env = {v: sim.simplify(e) for v, e in sbar.env.items()}
     new_path = sim.simplify(sbar.path)
     return sbar.with_(path=new_path, env=new_env)
@@ -654,11 +641,10 @@ def execute(program, entry, endpoints, forbidden, precond,
             raise BudgetExhausted(f"step budget {config.max_steps} exceeded",
                                   frontier=[state] + [s for s, _ in stack])
         labels.add(state.at)
-        children = step_block(program, state, solver, config.max_indirect_targets)
+        children = step_block(program, state, solver)
         if len(children) > 1:
             children = prune_infeasible(children, solver)
-        if config.do_simplify:
-            children = [simplify(c, solver, config) for c in children]
+        children = [simplify(c, solver) for c in children]
         if config.do_abbreviate:
             children = [abbreviate(c, gen, threshold=config.abbrev_threshold)
                         for c in children]

@@ -3,8 +3,11 @@ import json
 
 import pytest
 
+from bircheck import cli
 from bircheck.cli import main
 from bircheck.corpus import fixture
+from bircheck.smt import SolverConfig
+from bircheck.symexec import EngineConfig
 
 
 @pytest.fixture
@@ -147,3 +150,31 @@ def test_missing_file_exits_2(capsys):
 def test_bad_solver_path_exits_2(incr_files, capsys):
     d, c = incr_files
     assert main(["verify", d, c, "--solver", "no-such-solver-binary"]) == 2
+
+
+def test_solver_error_exits_4(incr_files, capsys):
+    d, c = incr_files
+    assert main(["verify", d, c, "--solver", "cat"]) == 4
+    assert "error: SolverCrash" in capsys.readouterr().err
+
+
+def test_negative_unroll_exits_2(incr_files, capsys):
+    d, c = incr_files
+    assert main(["verify", d, c, "--unroll", "-1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,dest,default", [
+    ("--timeout", "timeout", SolverConfig.timeout),
+    ("--pool", "pool", SolverConfig.pool),
+    ("--dump-smt", "smt_dump", SolverConfig.dump_dir),
+    ("--unroll", "unroll", EngineConfig.unroll),
+    ("--max-states", "max_states", EngineConfig.max_states),
+    ("--max-steps", "max_steps", EngineConfig.max_steps),
+    ("--abbrev-threshold", "abbrev_threshold", EngineConfig.abbrev_threshold)])
+def test_flag_defaults_are_the_config_defaults(flag, dest, default):
+    for argv in (["verify", "a.dis", "a.ctr"], ["symex", "a.dis"], ["bench"]):
+        assert getattr(cli.build_parser().parse_args(argv), dest) == default
+    # the module docstring quotes the same default
+    line = next(l for l in cli.__doc__.splitlines() if l.strip().startswith(flag + " "))
+    assert line.rstrip().endswith(f"({'off' if default is None else default})")

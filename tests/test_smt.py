@@ -1,10 +1,13 @@
 import io
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bircheck
 from bircheck import bir
 from bircheck.bir import binop, binpred, cast, const, load, store, sym
 from bircheck.smt import (Obligation, SolverConfig, check, encode,
@@ -74,6 +77,32 @@ def test_timeout_zero_is_unknown():
     obl = Obligation("feasibility", (), bir.true_exp)
     v = check(obl, cfg)
     assert v.status == "unknown" and v.reason == "timeout"
+
+
+@pytest.mark.parametrize("kw", [{"timeout": -1}, {"timeout": float("inf")},
+                                {"timeout": float("nan")}, {"pool": 0},
+                                {"argv": ["no-such-solver-binary"]}])
+def test_solver_config_validates(kw):
+    with pytest.raises(ValueError):
+        SolverConfig(**kw)
+
+
+def test_default_solver_needs_no_pythonpath(tmp_path):
+    # bircheck reachable through sys.path only: the solver child must not
+    # need to import it
+    src = str(Path(bircheck.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from bircheck import contracts, disasm, lifter\n"
+            "from bircheck.corpus import fixture\n"
+            "dis, rc = fixture('incr')\n"
+            "sl = disasm.make_slice(disasm.parse_objdump(dis), rc.entry, rc.endpoints)\n"
+            "prog, _ = lifter.lift_slice(sl)\n"
+            "print(contracts.verify(contracts.to_bir(rc, prog)).verdict)\n")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONPATH", "BIRCHECK_SOLVER")}
+    proc = subprocess.run([sys.executable, "-c", code, src], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == "verified", proc.stderr
 
 
 def test_model_soundness_counters_advance(solver):

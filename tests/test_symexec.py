@@ -331,6 +331,13 @@ def test_execute_step_budget(solver):
     assert e.value.frontier
 
 
+@pytest.mark.parametrize("kw", [{"unroll": -1}, {"max_states": 0},
+                                {"max_steps": 0}, {"abbrev_threshold": 0}])
+def test_engine_config_validates(kw):
+    with pytest.raises(ValueError):
+        EngineConfig(**kw)
+
+
 def test_execute_deterministic(solver):
     _, prog, lm, rc = load_fixture("motor")
     bc = contracts.to_bir(rc, prog)
