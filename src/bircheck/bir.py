@@ -129,7 +129,11 @@ def _intern(cls, key, *args):
 
 
 class BirExp:
-    """Base of all expression nodes.  Equality is identity (nodes interned)."""
+    """Base of all expression nodes.  Equality is identity (nodes interned).
+
+    `kids` holds the child expressions in field order (empty for leaves) and
+    `size` the node count of the expression seen as a tree; traversals walk
+    `kids`, and `with_kids` rebuilds an interior node over new children."""
 
     __slots__ = ("ty",)
 
@@ -137,7 +141,17 @@ class BirExp:
         return print_exp(self)
 
 
-class Const(BirExp):
+class _Leaf(BirExp):
+    __slots__ = ()
+    kids = ()
+    size = 1
+
+
+class _Interior(BirExp):
+    __slots__ = ("kids", "size")
+
+
+class Const(_Leaf):
     __slots__ = ("val",)
 
     def _init(self, ty, val):
@@ -145,7 +159,7 @@ class Const(BirExp):
         self.val = val
 
 
-class Den(BirExp):
+class Den(_Leaf):
     __slots__ = ("var",)
 
     def _init(self, var):
@@ -153,7 +167,7 @@ class Den(BirExp):
         self.var = var
 
 
-class Sym(BirExp):
+class Sym(_Leaf):
     """A symbolic-engine symbol; concrete evaluation needs an interpretation."""
 
     __slots__ = ("name",)
@@ -163,16 +177,21 @@ class Sym(BirExp):
         self.name = name
 
 
-class UnOp(BirExp):
+class UnOp(_Interior):
     __slots__ = ("op", "a")
 
     def _init(self, op, a):
         self.ty = a.ty
         self.op = op
         self.a = a
+        self.kids = (a,)
+        self.size = 1 + a.size
+
+    def with_kids(self, a):
+        return unop(self.op, a)
 
 
-class BinOp(BirExp):
+class BinOp(_Interior):
     __slots__ = ("op", "a", "b")
 
     def _init(self, op, a, b):
@@ -180,9 +199,14 @@ class BinOp(BirExp):
         self.op = op
         self.a = a
         self.b = b
+        self.kids = (a, b)
+        self.size = 1 + a.size + b.size
+
+    def with_kids(self, a, b):
+        return binop(self.op, a, b)
 
 
-class BinPred(BirExp):
+class BinPred(_Interior):
     __slots__ = ("op", "a", "b")
 
     def _init(self, op, a, b):
@@ -190,9 +214,14 @@ class BinPred(BirExp):
         self.op = op
         self.a = a
         self.b = b
+        self.kids = (a, b)
+        self.size = 1 + a.size + b.size
+
+    def with_kids(self, a, b):
+        return binpred(self.op, a, b)
 
 
-class Ite(BirExp):
+class Ite(_Interior):
     __slots__ = ("cond", "then", "els")
 
     def _init(self, cond, then, els):
@@ -200,18 +229,28 @@ class Ite(BirExp):
         self.cond = cond
         self.then = then
         self.els = els
+        self.kids = (cond, then, els)
+        self.size = 1 + cond.size + then.size + els.size
+
+    def with_kids(self, cond, then, els):
+        return ite(cond, then, els)
 
 
-class Cast(BirExp):
+class Cast(_Interior):
     __slots__ = ("kind", "a")
 
     def _init(self, kind, width, a):
         self.ty = imm_type(width)
         self.kind = kind
         self.a = a
+        self.kids = (a,)
+        self.size = 1 + a.size
+
+    def with_kids(self, a):
+        return cast(self.kind, self.ty.width, a)
 
 
-class Load(BirExp):
+class Load(_Interior):
     __slots__ = ("mem", "addr", "width")
 
     def _init(self, mem, addr, width):
@@ -219,9 +258,14 @@ class Load(BirExp):
         self.mem = mem
         self.addr = addr
         self.width = width
+        self.kids = (mem, addr)
+        self.size = 1 + mem.size + addr.size
+
+    def with_kids(self, mem, addr):
+        return load(mem, addr, self.width)
 
 
-class Store(BirExp):
+class Store(_Interior):
     __slots__ = ("mem", "addr", "value")
 
     def _init(self, mem, addr, value):
@@ -229,6 +273,11 @@ class Store(BirExp):
         self.mem = mem
         self.addr = addr
         self.value = value
+        self.kids = (mem, addr, value)
+        self.size = 1 + mem.size + addr.size + value.size
+
+    def with_kids(self, mem, addr, value):
+        return store(mem, addr, value)
 
 
 def const(width, val):
@@ -416,24 +465,8 @@ def _collect_vars(exp, seen, _memo=None):
     _memo.add(id(exp))
     if isinstance(exp, Den):
         seen.setdefault(exp.var.name, exp.var)
-    elif isinstance(exp, UnOp):
-        _collect_vars(exp.a, seen, _memo)
-    elif isinstance(exp, (BinOp, BinPred)):
-        _collect_vars(exp.a, seen, _memo)
-        _collect_vars(exp.b, seen, _memo)
-    elif isinstance(exp, Ite):
-        _collect_vars(exp.cond, seen, _memo)
-        _collect_vars(exp.then, seen, _memo)
-        _collect_vars(exp.els, seen, _memo)
-    elif isinstance(exp, Cast):
-        _collect_vars(exp.a, seen, _memo)
-    elif isinstance(exp, Load):
-        _collect_vars(exp.mem, seen, _memo)
-        _collect_vars(exp.addr, seen, _memo)
-    elif isinstance(exp, Store):
-        _collect_vars(exp.mem, seen, _memo)
-        _collect_vars(exp.addr, seen, _memo)
-        _collect_vars(exp.value, seen, _memo)
+    for k in exp.kids:
+        _collect_vars(k, seen, _memo)
 
 
 def collect_syms(exp, out=None, _memo=None):
@@ -450,18 +483,7 @@ def collect_syms(exp, out=None, _memo=None):
         _memo.add(id(e))
         if isinstance(e, Sym):
             out.setdefault(e.name, e)
-        elif isinstance(e, UnOp):
-            stack.append(e.a)
-        elif isinstance(e, (BinOp, BinPred)):
-            stack += (e.a, e.b)
-        elif isinstance(e, Ite):
-            stack += (e.cond, e.then, e.els)
-        elif isinstance(e, Cast):
-            stack.append(e.a)
-        elif isinstance(e, Load):
-            stack += (e.mem, e.addr)
-        elif isinstance(e, Store):
-            stack += (e.mem, e.addr, e.value)
+        stack += e.kids
     return out
 
 
@@ -483,24 +505,8 @@ def type_of(exp, var_types=None):
             if prior is not None and prior is not e.var.ty:
                 raise TypeMismatch(f"variable {e.var.name} used at {e.var.ty} and {prior}")
             seen[e.var.name] = e.var.ty
-        elif isinstance(e, UnOp):
-            walk(e.a)
-        elif isinstance(e, (BinOp, BinPred)):
-            walk(e.a)
-            walk(e.b)
-        elif isinstance(e, Ite):
-            walk(e.cond)
-            walk(e.then)
-            walk(e.els)
-        elif isinstance(e, Cast):
-            walk(e.a)
-        elif isinstance(e, Load):
-            walk(e.mem)
-            walk(e.addr)
-        elif isinstance(e, Store):
-            walk(e.mem)
-            walk(e.addr)
-            walk(e.value)
+        for k in e.kids:
+            walk(k)
 
     walk(exp)
     return exp.ty
@@ -583,6 +589,15 @@ def eval_exp(exp, env, interp=None):
         raise BirError(f"cannot evaluate {e!r}")
 
     return ev(exp)
+
+
+def extend_interp(interp, defs):
+    """`interp` extended over abbreviation definitions ((Sym, exp), ...),
+    evaluated in order, so a definition may use the symbols before it."""
+    out = dict(interp)
+    for s, d in defs:
+        out[s.name] = eval_exp(d, {}, out)
+    return out
 
 
 def _binop_val(op, a, b, w):
@@ -697,37 +712,13 @@ def validate_program(program, exits=()):
 
 
 # ---------------------------------------------------------------------------
-# Node counting (tree size, computed on the DAG)
+# Node counting and substitution
 
 def node_count(exp):
     """Number of nodes of the expression seen as a tree (shared subterms are
     counted once per occurrence)."""
-    memo = {}
+    return exp.size
 
-    def cnt(e):
-        n = memo.get(id(e))
-        if n is not None:
-            return n
-        if isinstance(e, (Const, Den, Sym)):
-            n = 1
-        elif isinstance(e, (UnOp, Cast)):
-            n = 1 + cnt(e.a)
-        elif isinstance(e, (BinOp, BinPred)):
-            n = 1 + cnt(e.a) + cnt(e.b)
-        elif isinstance(e, Ite):
-            n = 1 + cnt(e.cond) + cnt(e.then) + cnt(e.els)
-        elif isinstance(e, Load):
-            n = 1 + cnt(e.mem) + cnt(e.addr)
-        else:
-            n = 1 + cnt(e.mem) + cnt(e.addr) + cnt(e.value)
-        memo[id(e)] = n
-        return n
-
-    return cnt(exp)
-
-
-# ---------------------------------------------------------------------------
-# Substitution
 
 def subst(exp, var_map=None, sym_map=None):
     """Replace Den leaves via var_map (BirVar -> BirExp) and Sym leaves via
@@ -743,29 +734,17 @@ def subst(exp, var_map=None, sym_map=None):
         return r
 
     def _go(e):
+        if e.kids:
+            kids = tuple(map(go, e.kids))
+            # tuples compare identical elements equal (nodes define no __eq__)
+            return e if kids == e.kids else e.with_kids(*kids)
         if isinstance(e, Den):
             if var_map is not None and e.var in var_map:
                 return var_map[e.var]
-            return e
-        if isinstance(e, Sym):
+        elif isinstance(e, Sym):
             if sym_map is not None and e.name in sym_map:
                 return sym_map[e.name]
-            return e
-        if isinstance(e, Const):
-            return e
-        if isinstance(e, UnOp):
-            return unop(e.op, go(e.a))
-        if isinstance(e, BinOp):
-            return binop(e.op, go(e.a), go(e.b))
-        if isinstance(e, BinPred):
-            return binpred(e.op, go(e.a), go(e.b))
-        if isinstance(e, Ite):
-            return ite(go(e.cond), go(e.then), go(e.els))
-        if isinstance(e, Cast):
-            return cast(e.kind, e.ty.width, go(e.a))
-        if isinstance(e, Load):
-            return load(go(e.mem), go(e.addr), e.width)
-        return store(go(e.mem), go(e.addr), go(e.value))
+        return e
 
     return go(exp)
 

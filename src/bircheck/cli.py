@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import shlex
 import sys
@@ -195,6 +196,10 @@ def _bench_targets(args):
 
 def cmd_bench(args):
     engine, solver = engine_config(args), solver_config(args)
+    # on the built-in corpus, flags left at their default keep each fixture's
+    # own settings (isqrt's unroll bound); flags that were given win
+    overrides = {f.name: getattr(engine, f.name) for f in dataclasses.fields(engine)
+                 if getattr(engine, f.name) != f.default}
     rows = []
     for name, dis, rc in _bench_targets(args):
         unit = disasm.parse_objdump(dis)
@@ -209,7 +214,7 @@ def cmd_bench(args):
             pre, forbidden, extra = bir.true_exp, set(), []
         sl = disasm.make_slice(unit, entry, ends)
         prog, _ = lifter.lift_slice(sl)
-        config = fixture_config(name) if not args.corpus_dir else engine
+        config = engine if args.corpus_dir else fixture_config(name, **overrides)
         t0 = time.perf_counter()
         try:
             st = symexec.execute(prog, entry, ends, forbidden, pre, config,
@@ -226,8 +231,8 @@ def cmd_bench(args):
         print(f"{r['name']:18s} {r['instrs']:7d} {r['leaves']:7d} {r['seconds']:8.3f}s")
     if args.csv:
         with open(args.csv, "w", newline="") as f:
-            w = csv.DictWriter(f, fieldnames=["name", "instrs", "leaves", "seconds"],
-                               extrasaction="ignore")
+            w = csv.DictWriter(f, fieldnames=["name", "instrs", "leaves", "seconds",
+                                              "error"])
             w.writeheader()
             w.writerows(rows)
         print(f"csv written to {args.csv}")

@@ -114,6 +114,11 @@ class SolverConfig:
         if shutil.which(head) is None:
             raise ValueError(f"solver executable {head!r} not found")
 
+    def _reserve_dumps(self, n):
+        """The first of `n` consecutive, not yet used dump file numbers."""
+        self._dump_counter += n
+        return self._dump_counter - n + 1
+
 
 # ---------------------------------------------------------------------------
 # Encoding
@@ -132,38 +137,31 @@ def _terms_of(obl):
     return list(obl.hypotheses) + [bir.unop("not", obl.goal)]
 
 
+def _declared_syms(obl):
+    """The obligation's free symbols (abbreviation names excluded), by name,
+    in first-use order over the definitions and then the asserted terms."""
+    syms = {}
+    for _, d in obl.defs:
+        bir.collect_syms(d, syms)
+    for t in _terms_of(obl):
+        bir.collect_syms(t, syms)
+    def_names = {s.name for s, _ in obl.defs}
+    return {name: s for name, s in syms.items() if name not in def_names}
+
+
 def encode(obl: Obligation) -> str:
     """Render an obligation as an SMTLIB2 QF_ABV script ending in
     (check-sat)(get-model)."""
     asserted = _terms_of(obl)
-    def_names = {s.name for s, _ in obl.defs}
-
-    syms = {}
-    for _, d in obl.defs:
-        bir.collect_syms(d, syms)
-    for t in asserted:
-        bir.collect_syms(t, syms)
-    declared = [s for name, s in syms.items() if name not in def_names]
 
     # share interior nodes referenced more than once via define-funs
     refs = {}
 
     def count(e):
         refs[id(e)] = refs.get(id(e), 0) + 1
-        if refs[id(e)] > 1:
-            return
-        if isinstance(e, bir.UnOp):
-            count(e.a)
-        elif isinstance(e, (bir.BinOp, bir.BinPred)):
-            count(e.a), count(e.b)
-        elif isinstance(e, bir.Ite):
-            count(e.cond), count(e.then), count(e.els)
-        elif isinstance(e, bir.Cast):
-            count(e.a)
-        elif isinstance(e, bir.Load):
-            count(e.mem), count(e.addr)
-        elif isinstance(e, bir.Store):
-            count(e.mem), count(e.addr), count(e.value)
+        if refs[id(e)] == 1:
+            for k in e.kids:
+                count(k)
 
     for _, d in obl.defs:
         count(d)
@@ -240,7 +238,7 @@ def encode(obl: Obligation) -> str:
         raise UnsupportedTerm(repr(e))
 
     lines = ["(set-logic QF_ABV)"]
-    for s in declared:
+    for s in _declared_syms(obl).values():
         lines.append(f"(declare-const {s.name} {_sort_of(s.ty)})")
 
     for s, d in obl.defs:
@@ -312,23 +310,9 @@ def parse_model(text: str) -> dict:
 def _extend_model(obl, model):
     """Interpretation for all symbols: declared values from the model
     (defaults for omitted ones) plus abbreviation values by evaluation."""
-    interp = {}
-    syms = {}
-    for _, d in obl.defs:
-        bir.collect_syms(d, syms)
-    for t in _terms_of(obl):
-        bir.collect_syms(t, syms)
-    def_names = {s.name for s, _ in obl.defs}
-    for name, s in syms.items():
-        if name in def_names:
-            continue
-        if name in model:
-            interp[name] = model[name]
-        else:
-            interp[name] = {} if s.ty is bir.Mem else 0
-    for s, d in obl.defs:
-        interp[s.name] = bir.eval_exp(d, {}, interp)
-    return interp
+    interp = {name: model.get(name, {} if s.ty is bir.Mem else 0)
+              for name, s in _declared_syms(obl).items()}
+    return bir.extend_interp(interp, obl.defs)
 
 
 def _verify_model(obl, interp):
@@ -339,16 +323,20 @@ def _verify_model(obl, interp):
                 f"{bir.print_exp(t)}")
 
 
-def check(obl: Obligation, cfg: SolverConfig | None = None) -> SolverVerdict:
-    """Run the obligation through the configured solver subprocess."""
+def check(obl: Obligation, cfg: SolverConfig | None = None, *,
+          dump_no: int | None = None) -> SolverVerdict:
+    """Run the obligation through the configured solver subprocess.  With a
+    dump directory the script is saved as file number `dump_no` (default:
+    the next free number)."""
     cfg = cfg or SolverConfig()
     _stats["checks"] += 1
     text = encode(obl)
     if cfg.dump_dir:
         os.makedirs(cfg.dump_dir, exist_ok=True)
-        cfg._dump_counter += 1
+        if dump_no is None:
+            dump_no = cfg._reserve_dumps(1)
         tag = "".join(ch if ch.isalnum() else "_" for ch in (obl.origin or "obl"))[:60]
-        path = os.path.join(cfg.dump_dir, f"{cfg._dump_counter:04d}_{obl.kind}_{tag}.smt2")
+        path = os.path.join(cfg.dump_dir, f"{dump_no:04d}_{obl.kind}_{tag}.smt2")
         with open(path, "w") as f:
             f.write(text)
     if cfg.timeout is not None and cfg.timeout <= 0:
@@ -383,10 +371,16 @@ def check(obl: Obligation, cfg: SolverConfig | None = None) -> SolverVerdict:
 
 def check_many(obligations, cfg: SolverConfig | None = None):
     """Check independent obligations on a bounded subprocess pool, preserving
-    input order in the result list."""
+    input order in the result list.  Dump files are numbered in input order,
+    whichever thread finishes first."""
     cfg = cfg or SolverConfig()
     obls = list(obligations)
     if len(obls) <= 1 or cfg.pool <= 1:
         return [check(o, cfg) for o in obls]
+    if cfg.dump_dir:
+        first = cfg._reserve_dumps(len(obls))
+        dump_nos = range(first, first + len(obls))
+    else:
+        dump_nos = [None] * len(obls)
     with ThreadPoolExecutor(max_workers=cfg.pool) as ex:
-        return list(ex.map(lambda o: check(o, cfg), obls))
+        return list(ex.map(lambda o, no: check(o, cfg, dump_no=no), obls, dump_nos))

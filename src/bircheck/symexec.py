@@ -114,18 +114,10 @@ class EngineConfig:
 # ---------------------------------------------------------------------------
 # Matching
 
-def extend_interp(H, abbrevs):
-    """Extend an interpretation over abbreviation definitions, in order."""
-    out = dict(H)
-    for s, d in abbrevs:
-        out[s.name] = bir.eval_exp(d, {}, out)
-    return out
-
-
 def matches(H, sbar: SymbolicState, concrete_env, at_label, halted=False) -> bool:
     """H(sbar) = s: path condition true, every mapped variable equal, and the
     control location equal."""
-    Hx = extend_interp(H, sbar.abbrevs)
+    Hx = bir.extend_interp(H, sbar.abbrevs)
     if sbar.at != at_label or sbar.halted != halted:
         return False
     if bir.eval_exp(sbar.path, {}, Hx) != 1:
@@ -161,16 +153,12 @@ def init_state(program, entry, precond, gen: SymbolGen | None = None,
             names.add(v.name)
     env = {v: gen.fresh(f"s_{v.name}", v.ty) for v in variables}
     path = bir.subst(precond, var_map={v: env[v] for v in env})
-    leftover = [v.var.name for v in _dens_of(path)]
+    leftover = {}
+    bir._collect_vars(path, leftover)
     if leftover:
-        raise EngineError(f"precondition mentions variables outside the program: {leftover}")
+        raise EngineError("precondition mentions variables outside the program: "
+                          f"{list(leftover)}")
     return SymbolicState(path=path, env=env, at=entry), gen
-
-
-def _dens_of(e):
-    seen = {}
-    bir._collect_vars(e, seen)
-    return [bir.den(v) for v in seen.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +182,11 @@ class Simplifier:
     solver-backed rules fire only on load-over-store address comparisons."""
 
     def __init__(self, path=None, abbrevs=(), solver: SolverConfig | None = None,
-                 passes=3, use_solver=True):
+                 passes=3):
         self.path = path
         self.abbrevs = dict(abbrevs)
         self.solver = solver
         self.passes = passes
-        self.use_solver = use_solver and solver is not None
 
     def simplify(self, e):
         for _ in range(self.passes):
@@ -367,7 +354,7 @@ class Simplifier:
                     rel = "contains"
                 elif delta >= sbytes and ((oa - ob) & bir.mask(64)) >= nbytes:
                     rel = "disjoint"
-            elif self.use_solver:
+            elif self.solver is not None:
                 rel = self._solver_relation(sa, addr, sbytes, nbytes)
             if rel == "same":
                 return sv
@@ -414,8 +401,8 @@ class Simplifier:
         return store(mem, addr, value)
 
 
-def simplify_exp(e, path=None, abbrevs=(), solver=None, passes=3, use_solver=True):
-    return Simplifier(path, abbrevs, solver, passes, use_solver).simplify(e)
+def simplify_exp(e, path=None, abbrevs=(), solver=None, passes=3):
+    return Simplifier(path, abbrevs, solver, passes).simplify(e)
 
 
 def simplify(sbar: SymbolicState, solver: SolverConfig | None = None) -> SymbolicState:
@@ -543,7 +530,7 @@ def step_block(program, sbar: SymbolicState, solver: SolverConfig | None = None,
         return [base.with_(halted=True)]
     if isinstance(end, bir.Jmp):
         return _goto(program, base, end.target, solver, max_targets)
-    cond = simplify_exp(_subst_env(end.cond, env), passes=2, use_solver=False)
+    cond = simplify_exp(_subst_env(end.cond, env), passes=2)
     if isinstance(cond, Const):
         target = end.target_true if cond.val == 1 else end.target_false
         return _goto(program, base, target, solver, max_targets)
@@ -558,7 +545,7 @@ def step_block(program, sbar: SymbolicState, solver: SolverConfig | None = None,
 def _goto(program, state, target, solver, max_targets):
     if not isinstance(target, bir.BirExp):
         return [state.with_(at=target)]
-    t_exp = simplify_exp(_subst_env(target, state.env), passes=2, use_solver=False)
+    t_exp = simplify_exp(_subst_env(target, state.env), passes=2)
     if isinstance(t_exp, Const):
         return [state.with_(at=t_exp.val)]
     if solver is None:
@@ -579,7 +566,7 @@ def _goto(program, state, target, solver, max_targets):
         for name, s in bir.collect_syms(t_exp).items():
             # symbols unconstrained by the path may be absent from the model
             Hx.setdefault(name, {} if s.ty is bir.Mem else 0)
-        Hx = extend_interp(Hx, defs)
+        Hx = bir.extend_interp(Hx, defs)
         c = bir.eval_exp(t_exp, {}, Hx)
         found.append(c)
         out.append(state.with_(path=binop("and", state.path,

@@ -271,11 +271,85 @@ def test_validate_program_label_discipline():
         bir.validate_program(good, exits=set())
 
 
+def _children(e):
+    """Children in field order, spelled out per node type (independent of
+    the `kids` the nodes carry)."""
+    if isinstance(e, (bir.UnOp, bir.Cast)):
+        return [e.a]
+    if isinstance(e, (bir.BinOp, bir.BinPred)):
+        return [e.a, e.b]
+    if isinstance(e, bir.Ite):
+        return [e.cond, e.then, e.els]
+    if isinstance(e, bir.Load):
+        return [e.mem, e.addr]
+    if isinstance(e, bir.Store):
+        return [e.mem, e.addr, e.value]
+    return []
+
+
+def _random_traversal_inputs(n, seed):
+    """Random expressions over Den and Sym leaves, some inside memory terms."""
+    rng = random.Random(seed)
+    a, b = BirVar("a", bir.Imm64), BirVar("b", bir.Imm32)
+    sa = {a: sym("sa", bir.Imm64)}
+    for _ in range(n):
+        e = random_exp(rng, rng.randrange(1, 6), 64, [a, b])
+        if rng.random() < 0.5:
+            e = bir.subst(e, var_map=sa)
+        if rng.random() < 0.3:
+            m = store(den(M), e, random_exp(rng, 3, 32, [a, b]))
+            e = binop("plus", load(m, den(a), 64), e)
+        yield e
+
+
 def test_node_count_counts_tree_occurrences():
     e = binop("plus", den(X10), den(X10))
     assert bir.node_count(e) == 3
     shared = binop("xor", e, e)
     assert bir.node_count(shared) == 7  # shared DAG node counted per occurrence
+
+    def tree_count(e):
+        return 1 + sum(tree_count(k) for k in _children(e))
+
+    for e in _random_traversal_inputs(200, 31):
+        assert bir.node_count(e) == tree_count(e)
+
+
+def test_leaf_collectors_match_reference_order():
+    def ref_vars(e, seen, memo):  # recursive pre-order
+        if id(e) in memo:
+            return
+        memo.add(id(e))
+        if isinstance(e, bir.Den):
+            seen.setdefault(e.var.name, e.var)
+        for k in _children(e):
+            ref_vars(k, seen, memo)
+
+    def ref_syms(e):  # explicit stack, children pushed in field order
+        out, memo, stack = {}, set(), [e]
+        while stack:
+            e = stack.pop()
+            if id(e) not in memo:
+                memo.add(id(e))
+                if isinstance(e, bir.Sym):
+                    out.setdefault(e.name, e)
+                stack += _children(e)
+        return out
+
+    for e in _random_traversal_inputs(200, 32):
+        want = {}
+        ref_vars(e, want, set())
+        got = {}
+        bir._collect_vars(e, got)
+        assert list(got.items()) == list(want.items())
+        assert list(bir.collect_syms(e).items()) == list(ref_syms(e).items())
+
+
+def test_subst_missing_every_leaf_returns_same_node():
+    unused = BirVar("unused", bir.Imm64)
+    for e in _random_traversal_inputs(100, 33):
+        assert bir.subst(e, var_map={unused: const(64, 1)},
+                         sym_map={"unused": const(64, 2)}) is e
 
 
 def test_print_program_matches_grammar():

@@ -133,6 +133,15 @@ def test_bench_emits_table_and_csv_roundtrip(tmp_path, capsys):
         assert int(r["leaves"]) >= 1
 
 
+def test_bench_engine_flags_override_fixture_settings(tmp_path, capsys):
+    out_csv = tmp_path / "bench.csv"
+    assert main(["bench", "--max-steps", "1", "--csv", str(out_csv)]) == 0
+    with open(out_csv) as f:
+        by_name = {r["name"]: r for r in csv.DictReader(f)}
+    assert "step budget 1 exceeded" in by_name["motor"]["error"]
+    assert by_name["incr"]["error"] == ""  # one block: done within one step
+
+
 def test_bench_external_corpus_dir(tmp_path, capsys):
     dis, rc = fixture("incr")
     from bircheck.contracts import print_contract

@@ -166,6 +166,28 @@ def test_dump_files_replay(tmp_path, solver):
     assert replay.stdout.split()[0] == v.status
 
 
+def test_check_many_numbers_dumps_in_input_order(tmp_path):
+    # sizes fall along the batch, so later (smaller) obligations tend to
+    # finish encoding first on the pool threads; timeout 0 dumps each script
+    # and answers unknown without starting a solver
+    from bircheck.smt import check_many
+    obls = []
+    for i in range(8):
+        terms = [binop("plus", S, const(64, k)) for k in range(200 * (8 - i))]
+        while len(terms) > 1:  # balanced, so the tree stays shallow
+            terms = [binop("xor", *terms[j:j + 2]) if j + 1 < len(terms) else terms[j]
+                     for j in range(0, len(terms), 2)]
+        e = terms[0]
+        obls.append(Obligation("feasibility", (), binpred("ne", e, const(64, i)),
+                               origin=f"batch{i}"))
+    cfg = SolverConfig(dump_dir=str(tmp_path), pool=4, timeout=0)
+    assert {v.status for v in check_many(obls, cfg)} == {"unknown"}
+    files = sorted(tmp_path.iterdir())
+    assert [f.name for f in files] == [f"{i + 1:04d}_feasibility_batch{i}.smt2"
+                                       for i in range(8)]
+    assert [f.read_text() for f in files] == [encode(o) for o in obls]
+
+
 def test_mem_model_parsing(solver):
     # a sat obligation whose model must include array contents
     hyp = binpred("eq", load(M, const(64, 0x1000), 64), const(64, 0x1122334455667788))
