@@ -6,8 +6,11 @@ or a halt.  Expressions are fixed-width words (1/8/16/32/64 bit) and a
 byte-granular little-endian memory (64-bit addresses, 8-bit cells).
 
 Expression nodes are interned: building the same node twice yields the
-same object, so structural equality is identity, trees share structure as
-DAGs, and per-call memo tables can key on ``id()``.  Do not mutate nodes.
+same object, so structural equality is identity and trees share structure as
+DAGs.  Do not mutate nodes.  Walkers do not recurse: ``fold`` visits each
+distinct node once, children first and left to right, on an explicit stack
+of child iterators, and memoises on ``id()``; so expression depth is bounded
+by memory, not by Python's recursion limit.
 
 Text serialization grammar (one ``(block ...)`` form per block)::
 
@@ -457,30 +460,60 @@ class BirProgram:
         return list(seen.values())
 
 
-def _collect_vars(exp, seen, _memo=None):
-    if _memo is None:
-        _memo = set()
-    if id(exp) in _memo:
-        return
-    _memo.add(id(exp))
-    if isinstance(exp, Den):
-        seen.setdefault(exp.var.name, exp.var)
-    for k in exp.kids:
-        _collect_vars(k, seen, _memo)
+_MISSING = object()
 
 
-def collect_syms(exp, out=None, _memo=None):
+def fold(root, rule, memo=None):
+    """`rule(node, kid_values)` applied once to each distinct node under
+    `root` (any tree whose nodes list their children in `kids`), children
+    first and left to right; returns root's value.  `memo` maps ``id(node)``
+    to its value; pass one dict to share values across roots.  The explicit
+    stack holds the suspended ancestors, each with its iterator over `kids`
+    and the values found so far; leaves need no stack entry."""
+    if memo is None:
+        memo = {}
+    v = memo.get(id(root), _MISSING)
+    if v is not _MISSING:
+        return v
+    node, it, vals = root, iter(root.kids), []
+    stack = []
+    while True:
+        for k in it:
+            v = memo.get(id(k), _MISSING)
+            if v is _MISSING:
+                if k.kids:
+                    stack.append((node, it, vals))
+                    node, it, vals = k, iter(k.kids), []
+                    break
+                v = memo[id(k)] = rule(k, ())
+            vals.append(v)
+        else:
+            v = memo[id(node)] = rule(node, vals)
+            if not stack:
+                return v
+            node, it, vals = stack.pop()
+            vals.append(v)
+
+
+def _collect_vars(exp, seen):
+    def rule(e, _):
+        if isinstance(e, Den):
+            seen.setdefault(e.var.name, e.var)
+
+    fold(exp, rule)
+
+
+def collect_syms(exp, out=None):
     """All Sym leaves of `exp`, keyed by name, in first-use order."""
     if out is None:
         out = {}
-    if _memo is None:
-        _memo = set()
+    memo = set()
     stack = [exp]
     while stack:
         e = stack.pop()
-        if id(e) in _memo:
+        if id(e) in memo:
             continue
-        _memo.add(id(e))
+        memo.add(id(e))
         if isinstance(e, Sym):
             out.setdefault(e.name, e)
         stack += e.kids
@@ -494,21 +527,15 @@ def type_of(exp, var_types=None):
     """Type of `exp`; checks Den occurrences against `var_types` (name -> BirType)
     and that each name is used at one type throughout."""
     seen = {} if var_types is None else dict(var_types)
-    memo = set()
 
-    def walk(e):
-        if id(e) in memo:
-            return
-        memo.add(id(e))
+    def rule(e, _):
         if isinstance(e, Den):
             prior = seen.get(e.var.name)
             if prior is not None and prior is not e.var.ty:
                 raise TypeMismatch(f"variable {e.var.name} used at {e.var.ty} and {prior}")
             seen[e.var.name] = e.var.ty
-        for k in e.kids:
-            walk(k)
 
-    walk(exp)
+    fold(exp, rule)
     return exp.ty
 
 
@@ -522,18 +549,14 @@ def to_signed(val, width):
 def eval_exp(exp, env, interp=None):
     """Evaluate under a concrete environment (BirVar -> value) and an optional
     interpretation (symbol name -> value).  Imm values are unsigned ints,
-    memory values are {address: byte} dicts with absent bytes reading 0."""
-    memo = {}
+    memory values are {address: byte} dicts with absent bytes reading 0.
 
-    def ev(e):
-        k = id(e)
-        if k in memo:
-            return memo[k]
-        v = _ev(e)
-        memo[k] = v
-        return v
+    Both arms of an ``ite`` are evaluated, so every variable and symbol of
+    `exp` must be bound, taken or not; all callers pass complete
+    environments (model re-checks, `extend_interp`, `symexec.matches`,
+    `exec_block` over `lifter.machine_to_env`, `translation_check`)."""
 
-    def _ev(e):
+    def rule(e, kv):
         if isinstance(e, Const):
             return e.val
         if isinstance(e, Den):
@@ -547,31 +570,26 @@ def eval_exp(exp, env, interp=None):
             return interp[e.name]
         if isinstance(e, UnOp):
             w = e.ty.width
-            a = ev(e.a)
+            a, = kv
             if e.op == "not":
                 return a ^ mask(w)
             return (-a) & mask(w)  # neg / chsign
         if isinstance(e, BinOp):
-            return _binop_val(e.op, ev(e.a), ev(e.b), e.ty.width)
+            return _binop_val(e.op, kv[0], kv[1], e.ty.width)
         if isinstance(e, BinPred):
-            a, b = ev(e.a), ev(e.b)
+            a, b = kv
             if e.a.ty is Mem:
                 a, b = _norm_mem(a), _norm_mem(b)
                 return int(a == b) if e.op == "eq" else int(a != b)
-            w = e.a.ty.width
-            if e.op == "eq":
-                return int(a == b)
-            if e.op == "ne":
-                return int(a != b)
-            if e.op == "ult":
-                return int(a < b)
-            if e.op == "ule":
-                return int(a <= b)
-            return int(to_signed(a, w) < to_signed(b, w))
+            if e.op == "slt":
+                w = e.a.ty.width
+                return int(to_signed(a, w) < to_signed(b, w))
+            return int({"eq": a == b, "ne": a != b, "ult": a < b, "ule": a <= b}[e.op])
         if isinstance(e, Ite):
-            return ev(e.then) if ev(e.cond) == 1 else ev(e.els)
+            c, t, f = kv
+            return t if c == 1 else f
         if isinstance(e, Cast):
-            a = ev(e.a)
+            a, = kv
             w0, w1 = e.a.ty.width, e.ty.width
             if e.kind == "low":
                 return a & mask(w1)
@@ -579,16 +597,16 @@ def eval_exp(exp, env, interp=None):
                 return a
             return to_signed(a, w0) & mask(w1)
         if isinstance(e, Load):
-            m, a = ev(e.mem), ev(e.addr)
+            m, a = kv
             return load_bytes(m, a, e.width // 8)
         if isinstance(e, Store):
-            m = dict(ev(e.mem))
-            a, v = ev(e.addr), ev(e.value)
+            m, a, v = kv
+            m = dict(m)
             store_bytes(m, a, v, e.value.ty.width // 8)
             return m
         raise BirError(f"cannot evaluate {e!r}")
 
-    return ev(exp)
+    return fold(exp, rule)
 
 
 def extend_interp(interp, defs):
@@ -723,19 +741,10 @@ def node_count(exp):
 def subst(exp, var_map=None, sym_map=None):
     """Replace Den leaves via var_map (BirVar -> BirExp) and Sym leaves via
     sym_map (name -> BirExp).  DAG structure is preserved."""
-    memo = {}
 
-    def go(e):
-        r = memo.get(id(e))
-        if r is not None:
-            return r
-        r = _go(e)
-        memo[id(e)] = r
-        return r
-
-    def _go(e):
-        if e.kids:
-            kids = tuple(map(go, e.kids))
+    def rule(e, kv):
+        if kv:
+            kids = tuple(kv)
             # tuples compare identical elements equal (nodes define no __eq__)
             return e if kids == e.kids else e.with_kids(*kids)
         if isinstance(e, Den):
@@ -746,7 +755,7 @@ def subst(exp, var_map=None, sym_map=None):
                 return sym_map[e.name]
         return e
 
-    return go(exp)
+    return fold(exp, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -755,41 +764,47 @@ def subst(exp, var_map=None, sym_map=None):
 _BINOP_SYM = {"plus": "+", "minus": "-", "mult": "*", "udiv": "udiv", "and": "&",
               "or": "|", "xor": "^", "shl": "<<", "lshr": ">>u", "ashr": ">>s"}
 _PRED_SYM = {"eq": "==", "ne": "!=", "ult": "<u", "ule": "<=u", "slt": "<s"}
+_OP_SYM = {**_BINOP_SYM, **_PRED_SYM}  # unary ops print as their names
+
+
+def _print_parts(e):
+    """A node's text before and after its space-separated children."""
+    if isinstance(e, Const):
+        return f"(const{e.ty.width} 0x{e.val:x})", ""
+    if isinstance(e, Den):
+        return f"(den {e.var.name})", ""
+    if isinstance(e, Sym):
+        return f"(sym {e.name} {e.ty})", ""
+    if isinstance(e, (UnOp, BinOp, BinPred)):
+        return f"({_OP_SYM.get(e.op, e.op)} ", ")"
+    if isinstance(e, Ite):
+        return "(ite ", ")"
+    if isinstance(e, Cast):
+        return f"({e.kind} {e.ty.width} ", ")"
+    if isinstance(e, Load):
+        return "(load ", f" {e.width})"
+    return "(store ", ")"
 
 
 def print_exp(e):
-    memo = {}
-
-    def p(e):
-        s = memo.get(id(e))
-        if s is not None:
-            return s
-        s = _p(e)
-        memo[id(e)] = s
-        return s
-
-    def _p(e):
-        if isinstance(e, Const):
-            return f"(const{e.ty.width} 0x{e.val:x})"
-        if isinstance(e, Den):
-            return f"(den {e.var.name})"
-        if isinstance(e, Sym):
-            return f"(sym {e.name} {e.ty})"
-        if isinstance(e, UnOp):
-            return f"({e.op} {p(e.a)})"
-        if isinstance(e, BinOp):
-            return f"({_BINOP_SYM[e.op]} {p(e.a)} {p(e.b)})"
-        if isinstance(e, BinPred):
-            return f"({_PRED_SYM[e.op]} {p(e.a)} {p(e.b)})"
-        if isinstance(e, Ite):
-            return f"(ite {p(e.cond)} {p(e.then)} {p(e.els)})"
-        if isinstance(e, Cast):
-            return f"({e.kind} {e.ty.width} {p(e.a)})"
-        if isinstance(e, Load):
-            return f"(load {p(e.mem)} {p(e.addr)} {e.width})"
-        return f"(store {p(e.mem)} {p(e.addr)} {p(e.value)})"
-
-    return p(e)
+    # Text pieces go straight to `out` from a stack of pending nodes and
+    # closing text.  Memoising each node's string instead would keep every
+    # prefix of a deep chain alive, quadratic in its depth.
+    out = []
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, str):
+            out.append(e)
+            continue
+        head, tail = _print_parts(e)
+        out.append(head)
+        if e.kids:
+            stack.append(tail)
+            for k in reversed(e.kids[1:]):
+                stack += (k, " ")
+            stack.append(e.kids[0])
+    return "".join(out)
 
 
 def print_block(b):

@@ -3,7 +3,8 @@
 Exit codes: 0 verified (or success), 1 refuted (or simulation failure),
 2 input/usage error, 3 unknown (budget or solver limits), 4 solver error
 (crash, unparsable output, a model that fails re-evaluation, an unencodable
-term).
+term) or internal error (any other unexpected exception, reported as
+"error: internal: <type>: <message>").
 
 verify, symex and bench share the engine flags; their defaults are the
 EngineConfig / SolverConfig field defaults, and both classes validate them:
@@ -290,6 +291,9 @@ def main(argv=None):
         return EXIT_INPUT
     except SmtError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as e:  # a bug, not a verdict: never exit 1 ("refuted")
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -58,35 +58,43 @@ class EvidenceMissing(ContractError):
 # ---------------------------------------------------------------------------
 # Predicate expressions
 
+# `kids` lists a node's children, for `bir.fold`
+
 @dataclass(frozen=True)
 class RConst:
     val: int
+    kids = ()
 
 
 @dataclass(frozen=True)
 class RParam:
     name: str
+    kids = ()
 
 
 @dataclass(frozen=True)
 class RGpr:
     idx: int
+    kids = ()
 
 
 @dataclass(frozen=True)
 class RCsr:
     name: str
+    kids = ()
 
 
 @dataclass(frozen=True)
 class RMemLoad:
     addr: object
+    kids = property(lambda self: (self.addr,))
 
 
 @dataclass(frozen=True)
 class RUn:
     op: str  # sext32
     a: object
+    kids = property(lambda self: (self.a,))
 
 
 @dataclass(frozen=True)
@@ -94,6 +102,7 @@ class RBin:
     op: str  # add sub mul and or xor shl lshr ashr
     a: object
     b: object
+    kids = property(lambda self: (self.a, self.b))
 
 
 @dataclass(frozen=True)
@@ -110,43 +119,40 @@ M64 = (1 << 64) - 1
 
 
 def eval_rexp(e, m: isa.MachineState, params: dict) -> int:
-    if isinstance(e, RConst):
-        return e.val & M64
-    if isinstance(e, RParam):
-        try:
-            return params[e.name] & M64
-        except KeyError:
-            raise ContractError(f"parameter {e.name} has no value") from None
-    if isinstance(e, RGpr):
-        return m.read_gpr(e.idx)
-    if isinstance(e, RCsr):
-        return m.csr[e.name]
-    if isinstance(e, RMemLoad):
-        return isa.mem_load_dword(m.mem, eval_rexp(e.addr, m, params))
-    if isinstance(e, RUn):
-        return isa.u64(isa.sext(eval_rexp(e.a, m, params) & 0xFFFFFFFF, 32))
-    a = eval_rexp(e.a, m, params)
-    b = eval_rexp(e.b, m, params)
-    if e.op == "add":
-        return (a + b) & M64
-    if e.op == "sub":
-        return (a - b) & M64
-    if e.op == "mul":
-        return (a * b) & M64
-    if e.op == "and":
-        return a & b
-    if e.op == "or":
-        return a | b
-    if e.op == "xor":
-        return a ^ b
-    if e.op == "shl":
-        return (a << b) & M64 if b < 64 else 0
-    if e.op == "lshr":
-        return a >> b if b < 64 else 0
-    if e.op == "ashr":
-        s = isa.to_signed(a)
-        return (s >> b) & M64 if b < 64 else (M64 if s < 0 else 0)
-    raise ContractError(f"unknown operator {e.op}")
+    def rule(e, kv):
+        if isinstance(e, RConst):
+            return e.val & M64
+        if isinstance(e, RParam):
+            try:
+                return params[e.name] & M64
+            except KeyError:
+                raise ContractError(f"parameter {e.name} has no value") from None
+        if isinstance(e, RGpr):
+            return m.read_gpr(e.idx)
+        if isinstance(e, RCsr):
+            return m.csr[e.name]
+        if isinstance(e, RMemLoad):
+            return isa.mem_load_dword(m.mem, kv[0])
+        if isinstance(e, RUn):
+            return isa.u64(isa.sext(kv[0] & 0xFFFFFFFF, 32))
+        if e.op not in _REXP_EVAL:
+            raise ContractError(f"unknown operator {e.op}")
+        return _REXP_EVAL[e.op](*kv)
+
+    return bir.fold(e, rule)
+
+
+_REXP_EVAL = {
+    "add": lambda a, b: (a + b) & M64,
+    "sub": lambda a, b: (a - b) & M64,
+    "mul": lambda a, b: (a * b) & M64,
+    "and": lambda a, b: a & b,
+    "or": lambda a, b: a | b,
+    "xor": lambda a, b: a ^ b,
+    "shl": lambda a, b: (a << b) & M64 if b < 64 else 0,
+    "lshr": lambda a, b: a >> b if b < 64 else 0,
+    "ashr": lambda a, b: (isa.to_signed(a) >> min(b, 63)) & M64,
+}
 
 
 def eval_pred(pred: Predicate, m: isa.MachineState, params: dict) -> bool:
@@ -159,28 +165,32 @@ def eval_pred(pred: Predicate, m: isa.MachineState, params: dict) -> bool:
     return True
 
 
+_BIR_OPS = {"add": "plus", "sub": "minus", "mul": "mult", "and": "and", "or": "or",
+            "xor": "xor", "shl": "shl", "lshr": "lshr", "ashr": "ashr"}
+
+
 def translate_exp(e):
     """ISA predicate expression -> IR expression over the lift convention."""
-    if isinstance(e, RConst):
-        return const(64, e.val)
-    if isinstance(e, RParam):
-        return sym(e.name, bir.Imm64)
-    if isinstance(e, RGpr):
-        if e.idx == 0:
-            return const(64, 0)
-        return den(lifter.xvar(e.idx))
-    if isinstance(e, RCsr):
-        return den(lifter.csrvar(e.name))
-    if isinstance(e, RMemLoad):
-        return load(den(lifter.MEM8), translate_exp(e.addr), 64)
-    if isinstance(e, RUn):
-        return cast("sext", 64, cast("low", 32, translate_exp(e.a)))
-    if isinstance(e, RBin):
-        op = {"add": "plus", "sub": "minus", "mul": "mult", "and": "and",
-              "or": "or", "xor": "xor", "shl": "shl", "lshr": "lshr",
-              "ashr": "ashr"}[e.op]
-        return binop(op, translate_exp(e.a), translate_exp(e.b))
-    raise UntranslatableAtom(repr(e))
+    def rule(e, kv):
+        if isinstance(e, RConst):
+            return const(64, e.val)
+        if isinstance(e, RParam):
+            return sym(e.name, bir.Imm64)
+        if isinstance(e, RGpr):
+            if e.idx == 0:
+                return const(64, 0)
+            return den(lifter.xvar(e.idx))
+        if isinstance(e, RCsr):
+            return den(lifter.csrvar(e.name))
+        if isinstance(e, RMemLoad):
+            return load(den(lifter.MEM8), kv[0], 64)
+        if isinstance(e, RUn):
+            return cast("sext", 64, cast("low", 32, kv[0]))
+        if isinstance(e, RBin):
+            return binop(_BIR_OPS[e.op], *kv)
+        raise UntranslatableAtom(repr(e))
+
+    return bir.fold(e, rule)
 
 
 def translate(pred: Predicate):
@@ -193,23 +203,12 @@ def translate(pred: Predicate):
 
 
 def pred_params(pred: Predicate):
-    names = []
-
-    def walk(e):
-        if isinstance(e, RParam):
-            if e.name not in names:
-                names.append(e.name)
-        elif isinstance(e, RMemLoad):
-            walk(e.addr)
-        elif isinstance(e, RUn):
-            walk(e.a)
-        elif isinstance(e, (RBin, RCmp)):
-            walk(e.a)
-            walk(e.b)
-
+    names = {}
     for c in pred:
-        walk(c)
-    return names
+        for side in (c.a, c.b):
+            bir.fold(side, lambda e, _: names.setdefault(e.name)
+                     if isinstance(e, RParam) else None)
+    return list(names)
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +279,19 @@ def _tokenize_expr(text, where):
 
 
 class _ExprParser:
-    # precedence, loosest first
-    LEVELS = [("|",), ("^",), ("&",), ("<<", ">>", ">>s"), ("+", "-"), ("*",)]
     OPS = {"|": "or", "^": "xor", "&": "and", "<<": "shl", ">>": "lshr",
            ">>s": "ashr", "+": "add", "-": "sub", "*": "mul"}
+    PREC = {"|": 0, "^": 1, "&": 2, "<<": 3, ">>": 3, ">>s": 3, "+": 4, "-": 4, "*": 5}
+    # each parenthesis level costs at most 5 parser frames; deeper input is
+    # rejected rather than run into the interpreter's recursion limit
+    MAX_NESTING = 128
 
     def __init__(self, tokens, params, where):
         self.toks = tokens
         self.i = 0
         self.params = params
         self.where = where
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -312,30 +314,40 @@ class _ExprParser:
         kind = {"==": "eq", "<u": "ult", "<=u": "ule"}[op]
         return RCmp(kind, a, b)
 
-    def parse_expr(self, level=0):
-        if level == len(self.LEVELS):
-            return self.parse_unary()
-        ops = self.LEVELS[level]
-        e = self.parse_expr(level + 1)
-        while self.peek() in ops:
+    def parse_expr(self, min_prec=0):
+        """Binary operators of precedence >= min_prec, left-associative
+        (precedence climbing: one frame per rising precedence, not per level)."""
+        e = self.parse_unary()
+        while self.PREC.get(self.peek(), -1) >= min_prec:
             op = self.take()
-            rhs = self.parse_expr(level + 1)
-            e = RBin(self.OPS[op], e, rhs)
+            e = RBin(self.OPS[op], e, self.parse_expr(self.PREC[op] + 1))
         return e
 
     def parse_unary(self):
-        t = self.peek()
-        if t == "-":
+        negations = 0
+        while self.peek() == "-":
             self.take()
-            return RBin("sub", RConst(0), self.parse_unary())
-        return self.parse_primary()
+            negations += 1
+        e = self.parse_primary()
+        for _ in range(negations):
+            e = RBin("sub", RConst(0), e)
+        return e
+
+    def parse_nested(self):
+        """An expression and its closing parenthesis, one level down."""
+        self.depth += 1
+        if self.depth > self.MAX_NESTING:
+            raise ContractError(f"{self.where}: parentheses nest deeper than "
+                                f"{self.MAX_NESTING}")
+        e = self.parse_expr()
+        self.take(")")
+        self.depth -= 1
+        return e
 
     def parse_primary(self):
         t = self.take()
         if t == "(":
-            e = self.parse_expr()
-            self.take(")")
-            return e
+            return self.parse_nested()
         if t.startswith("0x"):
             return RConst(int(t, 16))
         if t.isdigit():
@@ -356,14 +368,10 @@ class _ExprParser:
             return RCsr(name)
         if t == "mem_load_dword":
             self.take("(")
-            e = self.parse_expr()
-            self.take(")")
-            return RMemLoad(e)
+            return RMemLoad(self.parse_nested())
         if t == "sext32":
             self.take("(")
-            e = self.parse_expr()
-            self.take(")")
-            return RUn("sext32", e)
+            return RUn("sext32", self.parse_nested())
         if t in self.params:
             return RParam(t)
         raise ContractError(f"{self.where}: unknown symbol {t!r} "
@@ -431,22 +439,27 @@ def parse_contract(text: str) -> RiscvContract:
                          forbidden=frozenset(forbidden))
 
 
+_REXP_OPS = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|",
+             "xor": "^", "shl": "<<", "lshr": ">>", "ashr": ">>s"}
+
+
 def print_rexp(e) -> str:
-    if isinstance(e, RConst):
-        return str(e.val) if e.val < 1024 else f"0x{e.val:x}"
-    if isinstance(e, RParam):
-        return e.name
-    if isinstance(e, RGpr):
-        return f"gpr[{e.idx}]"
-    if isinstance(e, RCsr):
-        return f"csr[{e.name}]"
-    if isinstance(e, RMemLoad):
-        return f"mem_load_dword({print_rexp(e.addr)})"
-    if isinstance(e, RUn):
-        return f"sext32({print_rexp(e.a)})"
-    ops = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|",
-           "xor": "^", "shl": "<<", "lshr": ">>", "ashr": ">>s"}
-    return f"({print_rexp(e.a)} {ops[e.op]} {print_rexp(e.b)})"
+    def rule(e, kv):
+        if isinstance(e, RConst):
+            return str(e.val) if e.val < 1024 else f"0x{e.val:x}"
+        if isinstance(e, RParam):
+            return e.name
+        if isinstance(e, RGpr):
+            return f"gpr[{e.idx}]"
+        if isinstance(e, RCsr):
+            return f"csr[{e.name}]"
+        if isinstance(e, RMemLoad):
+            return f"mem_load_dword({kv[0]})"
+        if isinstance(e, RUn):
+            return f"sext32({kv[0]})"
+        return f"({kv[0]} {_REXP_OPS[e.op]} {kv[1]})"
+
+    return bir.fold(e, rule)
 
 
 def print_contract(rc: RiscvContract) -> str:
@@ -697,19 +710,11 @@ def translation_check(pred: Predicate, trials: int, seed: int):
 
 
 def _memloads(c):
+    """The memory loads of comparison `c`, inner ones first: an outer load's
+    address is then read from the bytes seeded for the inner one."""
     out = []
-
-    def walk(e):
-        if isinstance(e, RMemLoad):
-            out.append(e)
-            walk(e.addr)
-        elif isinstance(e, RUn):
-            walk(e.a)
-        elif isinstance(e, (RBin, RCmp)):
-            walk(e.a)
-            walk(e.b)
-
-    walk(c)
+    for side in (c.a, c.b):
+        bir.fold(side, lambda e, _: out.append(e) if isinstance(e, RMemLoad) else None)
     return out
 
 

@@ -14,6 +14,7 @@ hard error.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import shlex
@@ -156,100 +157,93 @@ def encode(obl: Obligation) -> str:
 
     # share interior nodes referenced more than once via define-funs
     refs = {}
-
-    def count(e):
-        refs[id(e)] = refs.get(id(e), 0) + 1
-        if refs[id(e)] == 1:
-            for k in e.kids:
-                count(k)
-
-    for _, d in obl.defs:
-        count(d)
-    for t in asserted:
-        count(t)
+    stack = [d for _, d in obl.defs] + asserted
+    while stack:
+        e = stack.pop()
+        n = refs[id(e)] = refs.get(id(e), 0) + 1
+        if n == 1:
+            stack += e.kids
 
     emit = []          # define-fun lines, in dependency order
-    shared_count = [0]
-    rendered = {}
+    names = itertools.count()  # .t0, .t1, ... for shared nodes
+    rendered = {}      # id(node) -> text, one table for every root
 
-    def render(e):
-        got = rendered.get(id(e))
-        if got is not None:
-            return got
-        text = _render(e)
-        if refs.get(id(e), 0) > 1 and not isinstance(e, (bir.Const, bir.Sym)):
-            name = f".t{shared_count[0]}"
-            shared_count[0] += 1
+    def rule(e, kv):
+        text = _render(e, kv)
+        for k in e.kids:
+            # a node referenced once is read once: dropping its text keeps a
+            # deep unshared chain at linear, not quadratic, memory
+            if refs[id(k)] == 1:
+                del rendered[id(k)]
+        if refs[id(e)] > 1 and not isinstance(e, (bir.Const, bir.Sym)):
+            name = f".t{next(names)}"
             emit.append(f"(define-fun {name} () {_sort_of(e.ty)} {text})")
             text = name
-        rendered[id(e)] = text
         return text
-
-    def render_bool(e):
-        return f"(= {render(e)} #b1)"
-
-    def _render(e):
-        if isinstance(e, bir.Const):
-            return f"(_ bv{e.val} {e.ty.width})"
-        if isinstance(e, bir.Sym):
-            return e.name
-        if isinstance(e, bir.Den):
-            raise UnsupportedTerm(f"free program variable {e.var.name} in obligation")
-        if isinstance(e, bir.UnOp):
-            op = "bvnot" if e.op == "not" else "bvneg"
-            return f"({op} {render(e.a)})"
-        if isinstance(e, bir.BinOp):
-            op = {"plus": "bvadd", "minus": "bvsub", "mult": "bvmul",
-                  "udiv": "bvudiv", "and": "bvand", "or": "bvor", "xor": "bvxor",
-                  "shl": "bvshl", "lshr": "bvlshr", "ashr": "bvashr"}[e.op]
-            return f"({op} {render(e.a)} {render(e.b)})"
-        if isinstance(e, bir.BinPred):
-            a, b = render(e.a), render(e.b)
-            pred = {"eq": f"(= {a} {b})", "ne": f"(distinct {a} {b})",
-                    "ult": f"(bvult {a} {b})", "ule": f"(bvule {a} {b})",
-                    "slt": f"(bvslt {a} {b})"}[e.op]
-            return f"(ite {pred} #b1 #b0)"
-        if isinstance(e, bir.Ite):
-            return f"(ite (= {render(e.cond)} #b1) {render(e.then)} {render(e.els)})"
-        if isinstance(e, bir.Cast):
-            w0, w1 = e.a.ty.width, e.ty.width
-            a = render(e.a)
-            if w0 == w1:
-                return a
-            if e.kind == "low":
-                return f"((_ extract {w1 - 1} 0) {a})"
-            ext = "zero_extend" if e.kind == "zext" else "sign_extend"
-            return f"((_ {ext} {w1 - w0}) {a})"
-        if isinstance(e, bir.Load):
-            m, a = render(e.mem), render(e.addr)
-            nbytes = e.width // 8
-            sel = [f"(select {m} {_offset(a, k)})" for k in range(nbytes)]
-            if nbytes == 1:
-                return sel[0]
-            return "(concat " + " ".join(reversed(sel)) + ")"
-        if isinstance(e, bir.Store):
-            m, a, v = render(e.mem), render(e.addr), render(e.value)
-            nbytes = e.value.ty.width // 8
-            out = m
-            for k in range(nbytes):
-                byte = f"((_ extract {8 * k + 7} {8 * k}) {v})" if nbytes > 1 else v
-                out = f"(store {out} {_offset(a, k)} {byte})"
-            return out
-        raise UnsupportedTerm(repr(e))
 
     lines = ["(set-logic QF_ABV)"]
     for s in _declared_syms(obl).values():
         lines.append(f"(declare-const {s.name} {_sort_of(s.ty)})")
 
     for s, d in obl.defs:
-        body = render(d)
+        body = bir.fold(d, rule, rendered)
         emit.append(f"(define-fun {s.name} () {_sort_of(s.ty)} {body})")
     for t in asserted:
-        emit.append(f"(assert {render_bool(t)})")
+        emit.append(f"(assert (= {bir.fold(t, rule, rendered)} #b1))")
     lines.extend(emit)
     lines.append("(check-sat)")
     lines.append("(get-model)")
     return "\n".join(lines) + "\n"
+
+
+_SMT_OPS = {"plus": "bvadd", "minus": "bvsub", "mult": "bvmul", "udiv": "bvudiv",
+            "and": "bvand", "or": "bvor", "xor": "bvxor", "shl": "bvshl",
+            "lshr": "bvlshr", "ashr": "bvashr", "eq": "=", "ne": "distinct",
+            "ult": "bvult", "ule": "bvule", "slt": "bvslt"}
+
+
+def _render(e, kv):
+    """SMTLIB2 text of node `e` over its children's texts `kv`."""
+    if isinstance(e, bir.Const):
+        return f"(_ bv{e.val} {e.ty.width})"
+    if isinstance(e, bir.Sym):
+        return e.name
+    if isinstance(e, bir.Den):
+        raise UnsupportedTerm(f"free program variable {e.var.name} in obligation")
+    if isinstance(e, bir.UnOp):
+        op = "bvnot" if e.op == "not" else "bvneg"
+        return f"({op} {kv[0]})"
+    if isinstance(e, bir.BinOp):
+        return f"({_SMT_OPS[e.op]} {kv[0]} {kv[1]})"
+    if isinstance(e, bir.BinPred):
+        return f"(ite ({_SMT_OPS[e.op]} {kv[0]} {kv[1]}) #b1 #b0)"
+    if isinstance(e, bir.Ite):
+        return f"(ite (= {kv[0]} #b1) {kv[1]} {kv[2]})"
+    if isinstance(e, bir.Cast):
+        w0, w1 = e.a.ty.width, e.ty.width
+        a, = kv
+        if w0 == w1:
+            return a
+        if e.kind == "low":
+            return f"((_ extract {w1 - 1} 0) {a})"
+        ext = "zero_extend" if e.kind == "zext" else "sign_extend"
+        return f"((_ {ext} {w1 - w0}) {a})"
+    if isinstance(e, bir.Load):
+        m, a = kv
+        nbytes = e.width // 8
+        sel = [f"(select {m} {_offset(a, k)})" for k in range(nbytes)]
+        if nbytes == 1:
+            return sel[0]
+        return "(concat " + " ".join(reversed(sel)) + ")"
+    if isinstance(e, bir.Store):
+        m, a, v = kv
+        nbytes = e.value.ty.width // 8
+        out = m
+        for k in range(nbytes):
+            byte = f"((_ extract {8 * k + 7} {8 * k}) {v})" if nbytes > 1 else v
+            out = f"(store {out} {_offset(a, k)} {byte})"
+        return out
+    raise UnsupportedTerm(repr(e))
 
 
 def _offset(addr_text, k):
@@ -262,6 +256,18 @@ def _offset(addr_text, k):
 # Model parsing
 
 def _parse_value(form):
+    stores = []  # (index, value) forms of a store chain, outermost first
+    while isinstance(form, list) and form and form[0] == "store":
+        stores.append((form[2], form[3]))
+        form = form[1]
+    if stores:
+        arr = _parse_value(form)
+        if not isinstance(arr, dict):
+            raise ModelParseError("store over non-array model value")
+        arr = dict(arr)
+        for idx, val in reversed(stores):
+            arr[_parse_value(idx)] = _parse_value(val)
+        return arr
     if isinstance(form, str):
         if form.startswith("#x"):
             return int(form[2:], 16)
@@ -274,13 +280,6 @@ def _parse_value(form):
         raise ModelParseError(f"unparsable value {form!r}")
     if form and form[0] == "_" and form[1].startswith("bv"):
         return int(form[1][2:])
-    if form and form[0] == "store":
-        arr = _parse_value(form[1])
-        if not isinstance(arr, dict):
-            raise ModelParseError("store over non-array model value")
-        arr = dict(arr)
-        arr[_parse_value(form[2])] = _parse_value(form[3])
-        return arr
     if form and isinstance(form[0], list) and form[0][:2] == ["as", "const"]:
         default = _parse_value(form[1])
         if default != 0:
@@ -366,7 +365,11 @@ def check(obl: Obligation, cfg: SolverConfig | None = None, *,
     except SolverModelUnsound:
         _stats["sat_model_failures"] += 1
         raise
-    return SolverVerdict("sat", model=interp)
+    # the model names the obligation's free symbols only; abbreviation
+    # values follow from them (`bir.extend_interp`) and are not inputs
+    def_names = {s.name for s, _ in obl.defs}
+    return SolverVerdict("sat", model={name: v for name, v in interp.items()
+                                       if name not in def_names})
 
 
 def check_many(obligations, cfg: SolverConfig | None = None):

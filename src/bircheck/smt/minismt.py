@@ -70,6 +70,41 @@ def read_sexprs(text):
 
 
 # ---------------------------------------------------------------------------
+# Traversal without recursion
+
+_MISSING = object()
+
+
+def drive(step, root, memo=None):
+    """The value of `root` under `step`, a generator function: `step(key)`
+    yields each key whose value it needs, gets the value back from that
+    `yield`, and returns the value of `key`.  Suspended steps wait on an
+    explicit stack.  With a `memo` dict, values are cached by key."""
+    if memo is not None:
+        val = memo.get(root, _MISSING)
+        if val is not _MISSING:
+            return val
+    stack = [(root, step(root))]
+    val = None
+    while True:
+        key, gen = stack[-1]
+        try:
+            want = gen.send(val)
+        except StopIteration as done:
+            val = done.value
+            if memo is not None:
+                memo[key] = val
+            stack.pop()
+            if not stack:
+                return val
+            continue
+        val = _MISSING if memo is None else memo.get(want, _MISSING)
+        if val is _MISSING:
+            stack.append((want, step(want)))
+            val = None
+
+
+# ---------------------------------------------------------------------------
 # Term bank: interned word-level DAG with normalizing constructors
 #
 # Sorts: positive int = BitVec width (bool is width 1); the tuple
@@ -120,7 +155,6 @@ class TermBank:
     # lin args = (c, ((atom, coeff), ...)) with atoms sorted, coeff != 0
 
     def to_lin(self, t):
-        w = self.w[t]
         if self.op[t] == "const":
             return self.cval(t), ()
         if self.op[t] == "lin":
@@ -283,7 +317,7 @@ class TermBank:
                 return a
             if self.is_const(a):
                 return self.const(w, self.cval(a) >> sh)
-            return self.extract_ext(a, w - 1, sh, w)
+            return self.zext(self.extract(a, w - 1, sh), sh)
         return self._mk("lshr", w, (a, b))
 
     def ashr(self, a, b):
@@ -324,11 +358,6 @@ class TermBank:
             return self.lin_merge(w, [(self.extract(p, hi, 0), k) for p, k in pairs]
                                   + [(self.const(w, c), 1)])
         return self._mk("extract", w, (a, hi, lo))
-
-    def extract_ext(self, a, hi, lo, out_w):
-        """extract then zero-extend back to out_w (for constant lshr)."""
-        core = self.extract(a, hi, lo)
-        return self.zext(core, out_w - (hi - lo + 1))
 
     def concat(self, hi_t, lo_t):
         w = self.w[hi_t] + self.w[lo_t]
@@ -496,21 +525,20 @@ class TermBank:
         return fn(*kids)
 
     def substitute(self, t, mapping, memo=None):
+        """`t` with the terms of `mapping` replaced; pass one `memo` to share
+        work between calls with the same mapping."""
         if memo is None:
             memo = {}
-        if t in memo:
-            return memo[t]
-        if t in mapping:
-            memo[t] = mapping[t]
-            return mapping[t]
+        memo.update(mapping)
+        return drive(self._substituted, t, memo)
+
+    def _substituted(self, t):
         kids = self.children(t)
-        if not kids:
-            memo[t] = t
-            return t
-        new = tuple(self.substitute(k, mapping, memo) for k in kids)
-        out = t if new == kids else self.rebuild(t, new)
-        memo[t] = out
-        return out
+        new = []
+        for k in kids:
+            new.append((yield k))
+        new = tuple(new)
+        return t if new == kids else self.rebuild(t, new)
 
     def free_vars(self, t, out=None, memo=None):
         if out is None:
@@ -536,19 +564,18 @@ class TermBank:
 BV_BINOPS = {"bvadd": "add", "bvsub": "sub", "bvmul": "mul", "bvudiv": "udiv",
              "bvurem": "urem", "bvand": "andb", "bvor": "orb", "bvxor": "xorb",
              "bvshl": "shl", "bvlshr": "lshr", "bvashr": "ashr"}
-BV_CMP = {"bvult": "ult", "bvule": "ule", "bvugt": None, "bvuge": None,
-          "bvslt": "slt", "bvsle": "sle", "bvsgt": None, "bvsge": None}
+# comparison -> (TermBank method, operands swapped)
+BV_CMP = {"bvult": ("ult", False), "bvule": ("ule", False), "bvugt": ("ult", True),
+          "bvuge": ("ule", True), "bvslt": ("slt", False), "bvsle": ("sle", False),
+          "bvsgt": ("slt", True), "bvsge": ("sle", True)}
 
 
 class Script:
     def __init__(self):
         self.tb = TermBank()
         self.decls = []      # (name, sort) in declaration order
-        self.defs = {}       # name -> term (define-fun)
         self.env = {}        # name -> term (declare or define)
         self.asserts = []
-        self.logic = None
-        self.want_model = False
         self.checked = None
 
     def parse_sort(self, s):
@@ -565,9 +592,14 @@ class Script:
             return 1
         raise SmtInputError(f"unsupported sort {s!r}")
 
-    def term(self, s, lets=None):
+    def term(self, s):
+        return drive(self._term, (s, {}))
+
+    def _term(self, item):
+        """`drive` step: the term of s-expression `s` under the `let`
+        bindings `lets`, where `item` is (s, lets)."""
+        s, lets = item
         tb = self.tb
-        lets = lets or {}
         if isinstance(s, str):
             if s in lets:
                 return lets[s]
@@ -590,12 +622,12 @@ class Script:
         if head == "let":
             new = dict(lets)
             for name, body in s[1]:
-                new[name] = self.term(body, lets)
-            return self.term(s[2], new)
+                new[name] = yield body, lets
+            return (yield s[2], new)
         if isinstance(head, list) and head[0] == "_":
             op = head[1]
             n = int(head[2])
-            a = self.term(s[1], lets)
+            a = yield s[1], lets
             if op == "zero_extend":
                 return tb.zext(a, n)
             if op == "sign_extend":
@@ -614,14 +646,16 @@ class Script:
         if isinstance(head, list) and head[0] == "as":
             # ((as const (Array ...)) v) — constant arrays only appear in models
             raise SmtInputError("constant arrays not supported in input")
-        args = [self.term(x, lets) for x in s[1:]]
+        args = []
+        for x in s[1:]:
+            args.append((yield x, lets))
         if head == "and":
             return tb.andb(*args) if args else tb.true()
         if head == "or":
             return tb.orb(*args) if args else tb.false()
         if head == "xor":
             return tb.xorb(*args)
-        if head == "not":
+        if head in ("not", "bvnot"):
             return tb.notb(args[0])
         if head == "=>":
             out = args[-1]
@@ -641,8 +675,6 @@ class Script:
             return out
         if head == "ite":
             return tb.ite(*args)
-        if head == "bvnot":
-            return tb.notb(args[0])
         if head == "bvneg":
             return tb.neg(args[0])
         if head == "concat":
@@ -662,15 +694,8 @@ class Script:
             return out
         if head in BV_CMP:
             a, b = args
-            if head == "bvugt":
-                return tb.ult(b, a)
-            if head == "bvuge":
-                return tb.ule(b, a)
-            if head == "bvsgt":
-                return tb.slt(b, a)
-            if head == "bvsge":
-                return tb.sle(b, a)
-            return getattr(tb, BV_CMP[head])(a, b)
+            name, swapped = BV_CMP[head]
+            return getattr(tb, name)(*((b, a) if swapped else (a, b)))
         if head == "bvcomp":
             return tb.eq(args[0], args[1])
         raise SmtInputError(f"unsupported operator {head!r}")
@@ -678,8 +703,6 @@ class Script:
     def run_command(self, s, out):
         head = s[0] if isinstance(s, list) else s
         if head in ("set-logic", "set-info", "set-option"):
-            if head == "set-logic":
-                self.logic = s[1]
             return
         if head in ("declare-const", "declare-fun"):
             name = s[1]
@@ -694,7 +717,6 @@ class Script:
             if params:
                 raise SmtInputError("only 0-arity define-fun supported")
             self.env[name] = self.term(body)
-            self.defs[name] = self.env[name]
             return
         if head == "assert":
             self.asserts.append(self.term(s[1]))
@@ -865,7 +887,6 @@ class Blaster:
         if neg:
             coeff = (1 << w) - coeff
         shift = 0
-        carry_in = -TRUE_LIT
         while coeff:
             if coeff & 1:
                 shifted = self.const_bits(w, 0)[:shift] + xs[:w - shift]
@@ -939,14 +960,11 @@ class Blaster:
         return q, r
 
     def bits(self, t):
-        got = self.bits_memo.get(t)
-        if got is not None:
-            return got
-        out = self._bits(t)
-        self.bits_memo[t] = out
-        return out
+        return drive(self._bits, t, self.bits_memo)
 
     def _bits(self, t):
+        """`drive` step: the literals of term `t`, least significant first;
+        `(yield u)` gives those of sub-term `u`."""
         tb = self.tb
         opn = tb.op[t]
         w = tb.w[t]
@@ -955,15 +973,13 @@ class Blaster:
         if opn == "const":
             return self.const_bits(w, tb.cval(t))
         if opn == "var":
-            base = self.nvars
             self.nvars += w
-            lits = [base + 1 + i for i in range(w)]
-            return lits
+            return list(range(self.nvars - w + 1, self.nvars + 1))
         if opn == "lin":
             c, pairs = tb.args[t]
             acc = self.const_bits(w, c)
             for atom, coeff in pairs:
-                xs = self.bits(atom)
+                xs = yield atom
                 if coeff == 1:
                     acc = self.add_bits(acc, xs)
                 else:
@@ -971,69 +987,58 @@ class Blaster:
             return acc
         if opn == "mul":
             a, b = tb.args[t]
-            return self.mul_bits(self.bits(a), self.bits(b), w)
+            return self.mul_bits((yield a), (yield b), w)
         if opn in ("udiv", "urem"):
             a, b = tb.args[t]
-            q, r = self.divmod_bits(self.bits(a), self.bits(b), w)
+            q, r = self.divmod_bits((yield a), (yield b), w)
             return q if opn == "udiv" else r
-        if opn == "andb":
-            acc = self.const_bits(w, (1 << w) - 1)
+        if opn in ("andb", "orb", "xorb"):
+            gate = {"andb": self.gand, "orb": self.gor, "xorb": self.gxor}[opn]
+            acc = self.const_bits(w, (1 << w) - 1 if opn == "andb" else 0)
             for a in tb.args[t]:
-                xs = self.bits(a)
-                acc = [self.gand(p, x) for p, x in zip(acc, xs)]
-            return acc
-        if opn == "orb":
-            acc = self.const_bits(w, 0)
-            for a in tb.args[t]:
-                xs = self.bits(a)
-                acc = [self.gor(p, x) for p, x in zip(acc, xs)]
-            return acc
-        if opn == "xorb":
-            acc = self.const_bits(w, 0)
-            for a in tb.args[t]:
-                xs = self.bits(a)
-                acc = [self.gxor(p, x) for p, x in zip(acc, xs)]
+                xs = yield a
+                acc = [gate(p, x) for p, x in zip(acc, xs)]
             return acc
         if opn == "notb":
-            return [-x for x in self.bits(tb.args[t][0])]
+            return [-x for x in (yield tb.args[t][0])]
         if opn in ("shl", "lshr", "ashr"):
             a, b = tb.args[t]
-            return self.shift_bits(self.bits(a), self.bits(b), opn, w)
+            return self.shift_bits((yield a), (yield b), opn, w)
         if opn == "extract":
             a, hi, lo = tb.args[t]
-            return self.bits(a)[lo:hi + 1]
+            return (yield a)[lo:hi + 1]
         if opn == "sext":
             a, n = tb.args[t]
-            xs = self.bits(a)
+            xs = yield a
             return xs + [xs[-1]] * n
         if opn == "concat":
             hi_t, lo_t = tb.args[t]
-            return self.bits(lo_t) + self.bits(hi_t)
-        if opn == "eq":
+            return (yield lo_t) + (yield hi_t)
+        if opn in ("eq", "ult"):
             a, b = tb.args[t]
-            return [self.eq_bits(self.bits(a), self.bits(b))]
+            compare = self.eq_bits if opn == "eq" else self.ult_bits
+            return [compare((yield a), (yield b))]
         if opn == "eqarr":
             raise SmtInputError("array equality is not supported")
-        if opn == "ult":
-            a, b = tb.args[t]
-            return [self.ult_bits(self.bits(a), self.bits(b))]
         if opn == "slt":
             a, b = tb.args[t]
-            xs, ys = list(self.bits(a)), list(self.bits(b))
+            xs, ys = list((yield a)), list((yield b))
             xs[-1], ys[-1] = -xs[-1], -ys[-1]  # bias trick
             return [self.ult_bits(xs, ys)]
         if opn == "ite":
             c, a, b = tb.args[t]
-            cl = self.bits(c)[0]
-            return [self.gmux(cl, x, y) for x, y in zip(self.bits(a), self.bits(b))]
+            cl = (yield c)[0]
+            xs, ys = (yield a), (yield b)
+            return [self.gmux(cl, x, y) for x, y in zip(xs, ys)]
         if opn == "select":
-            return self.select_bits(t)
+            return (yield from self.select_bits(t))
         raise SmtInputError(f"cannot blast op {opn!r}")
 
     def select_bits(self, t):
+        """Part of the `_bits` step for a select term."""
         tb = self.tb
         arr, idx = tb.args[t]
-        idx_bits = self.bits(idx)
+        idx_bits = yield idx
         node = arr
         result = None
         muxes = []  # (cond lit, value bits) from outermost store inward
@@ -1041,13 +1046,14 @@ class Blaster:
             opn = tb.op[node]
             if opn == "store":
                 base, i, v = tb.args[node]
-                muxes.append((self.eq_bits(idx_bits, self.bits(i)), self.bits(v)))
+                muxes.append((self.eq_bits(idx_bits, (yield i)), (yield v)))
                 node = base
             elif opn == "itearr":
                 c, m1, m2 = tb.args[node]
-                cl = self.bits(c)[0]
-                b1 = self._select_from(m1, idx, idx_bits)
-                b2 = self._select_from(m2, idx, idx_bits)
+                cl = (yield c)[0]
+                # each arm is the select term over that arm, blasted once
+                b1 = yield tb._mk("select", 8, (m1, idx))
+                b2 = yield tb._mk("select", 8, (m2, idx))
                 result = [self.gmux(cl, x, y) for x, y in zip(b1, b2)]
                 break
             elif opn == "var":
@@ -1058,14 +1064,6 @@ class Blaster:
         for cond, val in reversed(muxes):
             result = [self.gmux(cond, x, y) for x, y in zip(val, result)]
         return result
-
-    def _select_from(self, arr, idx, idx_bits):
-        key = self.tb._mk("select", 8, (arr, idx))
-        got = self.bits_memo.get(key)
-        if got is None:
-            got = self.select_bits(key)
-            self.bits_memo[key] = got
-        return got
 
     def base_select(self, base_var, idx, idx_bits):
         key = (base_var, idx)
@@ -1122,7 +1120,6 @@ class Sat:
         self.var_inc = 1.0
         self.ok = True
         self.phase = [False] * (nvars + 1)
-        self.heap = list(range(1, nvars + 1))  # lazy max-heap of (-activity, var)
         import heapq
         self._heapq = heapq
         self.heap = [(0.0, v) for v in range(1, nvars + 1)]
@@ -1371,13 +1368,11 @@ class Evaluator:
         self.memo = {}
 
     def __call__(self, t):
-        if t in self.memo:
-            return self.memo[t]
-        v = self._ev(t)
-        self.memo[t] = v
-        return v
+        return drive(self._ev, t, self.memo)
 
     def _ev(self, t):
+        """`drive` step: the value of term `t`; `(yield u)` gives the value
+        of sub-term `u`.  Only the taken arm of an ite is evaluated."""
         tb = self.tb
         opn = tb.op[t]
         w = tb.w[t]
@@ -1389,46 +1384,35 @@ class Evaluator:
                 out = {}
                 for (base, idx), val in self.sel_vals.items():
                     if base == t:
-                        out[self(idx)] = val
+                        out[(yield idx)] = val
                 return out
             return self.env.get(t, 0)
         if opn == "lin":
             c, pairs = tb.args[t]
             v = c
             for a, k in pairs:
-                v += self(a) * k
+                v += (yield a) * k
             return v & mask
         if opn == "mul":
             a, b = tb.args[t]
-            return (self(a) * self(b)) & mask
-        if opn == "udiv":
+            return ((yield a) * (yield b)) & mask
+        if opn in ("udiv", "urem"):
             a, b = tb.args[t]
-            bv = self(b)
-            return mask if bv == 0 else self(a) // bv
-        if opn == "urem":
-            a, b = tb.args[t]
-            bv = self(b)
-            return self(a) if bv == 0 else self(a) % bv
-        if opn == "andb":
-            v = mask
+            av, bv = (yield a), (yield b)
+            if bv == 0:
+                return mask if opn == "udiv" else av
+            return av // bv if opn == "udiv" else av % bv
+        if opn in ("andb", "orb", "xorb"):
+            v = mask if opn == "andb" else 0
             for a in tb.args[t]:
-                v &= self(a)
-            return v
-        if opn == "orb":
-            v = 0
-            for a in tb.args[t]:
-                v |= self(a)
-            return v
-        if opn == "xorb":
-            v = 0
-            for a in tb.args[t]:
-                v ^= self(a)
+                x = yield a
+                v = v & x if opn == "andb" else (v | x if opn == "orb" else v ^ x)
             return v
         if opn == "notb":
-            return ~self(tb.args[t][0]) & mask
+            return ~(yield tb.args[t][0]) & mask
         if opn in ("shl", "lshr", "ashr"):
             a, b = tb.args[t]
-            av, bv = self(a), self(b)
+            av, bv = (yield a), (yield b)
             if opn == "shl":
                 return (av << bv) & mask if bv < w else 0
             if opn == "lshr":
@@ -1437,58 +1421,56 @@ class Evaluator:
             return (s >> min(bv, w - 1)) & mask
         if opn == "extract":
             a, hi, lo = tb.args[t]
-            return (self(a) >> lo) & ((1 << (hi - lo + 1)) - 1)
+            return ((yield a) >> lo) & ((1 << (hi - lo + 1)) - 1)
         if opn == "sext":
             a, n = tb.args[t]
             aw = tb.w[a]
-            v = self(a)
+            v = yield a
             s = v - (1 << aw) if v >> (aw - 1) else v
             return s & mask
         if opn == "concat":
             hi_t, lo_t = tb.args[t]
-            return (self(hi_t) << tb.w[lo_t]) | self(lo_t)
-        if opn == "eq":
+            return ((yield hi_t) << tb.w[lo_t]) | (yield lo_t)
+        if opn in ("eq", "ult"):
             a, b = tb.args[t]
-            return 1 if self(a) == self(b) else 0
-        if opn == "ult":
-            a, b = tb.args[t]
-            return 1 if self(a) < self(b) else 0
+            av, bv = (yield a), (yield b)
+            return int(av == bv if opn == "eq" else av < bv)
         if opn == "slt":
             a, b = tb.args[t]
             aw = tb.w[tb.args[t][0]]
-            sa, sb = self(a), self(b)
+            sa, sb = (yield a), (yield b)
             sa = sa - (1 << aw) if sa >> (aw - 1) else sa
             sb = sb - (1 << aw) if sb >> (aw - 1) else sb
             return 1 if sa < sb else 0
         if opn in ("ite", "itearr"):
             c, a, b = tb.args[t]
-            return self(a) if self(c) else self(b)
+            return (yield a) if (yield c) else (yield b)
         if opn == "select":
             arr, idx = tb.args[t]
-            iv = self(idx)
+            iv = yield idx
             node = arr
             while True:
                 if tb.op[node] == "store":
                     base, i, v = tb.args[node]
-                    if self(i) == iv:
-                        return self(v)
+                    if (yield i) == iv:
+                        return (yield v)
                     node = base
                 elif tb.op[node] == "itearr":
                     c, m1, m2 = tb.args[node]
-                    node = m1 if self(c) else m2
+                    node = m1 if (yield c) else m2
                 else:
                     got = self.sel_vals.get((node, idx))
                     if got is not None:
                         return got
                     # fall back to matching by concrete address
                     for (b2, i2), val in self.sel_vals.items():
-                        if b2 == node and self(i2) == iv:
+                        if b2 == node and (yield i2) == iv:
                             return val
                     return 0
         if opn == "store":
             base, i, v = tb.args[t]
-            m = dict(self(base))
-            m[self(i)] = self(v)
+            m = dict((yield base))
+            m[(yield i)] = (yield v)
             return m
         raise SmtInputError(f"cannot evaluate {opn!r}")
 

@@ -190,39 +190,29 @@ class Simplifier:
 
     def simplify(self, e):
         for _ in range(self.passes):
-            memo = {}
-            out = self._walk(e, memo)
+            out = bir.fold(e, self._rule)
             if out is e:
                 break
             e = out
         return e
 
-    def _walk(self, e, memo):
-        got = memo.get(id(e))
-        if got is not None:
-            return got
-        if isinstance(e, (Const, Den, Sym)):
-            memo[id(e)] = e
+    def _rule(self, e, kv):
+        """One bottom-up rewrite of `e` over its simplified children `kv`."""
+        if not kv:
             return e
         if isinstance(e, UnOp):
-            out = self._rule_unop(e.op, self._walk(e.a, memo))
-        elif isinstance(e, BinOp):
-            out = self._rule_binop(e.op, self._walk(e.a, memo), self._walk(e.b, memo))
-        elif isinstance(e, BinPred):
-            out = self._rule_pred(e.op, self._walk(e.a, memo), self._walk(e.b, memo))
-        elif isinstance(e, Ite):
-            out = self._rule_ite(self._walk(e.cond, memo), self._walk(e.then, memo),
-                                 self._walk(e.els, memo))
-        elif isinstance(e, Cast):
-            out = self._rule_cast(e.kind, e.ty.width, self._walk(e.a, memo))
-        elif isinstance(e, Load):
-            out = self._rule_load(self._walk(e.mem, memo), self._walk(e.addr, memo),
-                                  e.width)
-        else:
-            out = self._rule_store(self._walk(e.mem, memo), self._walk(e.addr, memo),
-                                   self._walk(e.value, memo))
-        memo[id(e)] = out
-        return out
+            return self._rule_unop(e.op, *kv)
+        if isinstance(e, BinOp):
+            return self._rule_binop(e.op, *kv)
+        if isinstance(e, BinPred):
+            return self._rule_pred(e.op, *kv)
+        if isinstance(e, Ite):
+            return self._rule_ite(*kv)
+        if isinstance(e, Cast):
+            return self._rule_cast(e.kind, e.ty.width, *kv)
+        if isinstance(e, Load):
+            return self._rule_load(*kv, e.width)
+        return self._rule_store(*kv)
 
     # -- local rules ---------------------------------------------------------
 
@@ -642,10 +632,7 @@ def execute(program, entry, endpoints, forbidden, precond,
         nvisits[state.at] = seen + 1
         for child in sorted(children, key=lambda s: s.at, reverse=True):
             stack.append((child, nvisits))
-    order = {}
-    for i, leaf in enumerate(leaves):
-        order[id(leaf)] = i
-    leaves.sort(key=lambda s: (s.at, order[id(s)]))
+    leaves.sort(key=lambda s: s.at)  # stable: equal labels keep their order
     return SymbolicStructure(initial=initial, labels=frozenset(labels),
                              leaves=tuple(leaves), endpoints=endpoints)
 

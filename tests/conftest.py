@@ -29,6 +29,28 @@ def render_listing(rng, n=20, base=0x10000, name="synth"):
     return asm.listing(name, base, instrs, pseudo=rng.random() < 0.5), instrs
 
 
+CHAIN_BASE = 0x10000
+
+
+def chain_program(n, second_op):
+    """(objdump listing, contract text) for a straight-line chain of `n`
+    instructions alternating `xor a0,a0,a1` and `<second_op> a0,a0,a1`, then
+    `ret`.  The contract pins gpr[10] = p and gpr[11] = q on entry and asks
+    for gpr[10] == p at the `ret`: it holds for an even chain with "xor" and
+    fails with "add".  Each instruction feeds the next, so the expressions
+    grow one level per instruction."""
+    instrs = [asm.op(second_op if k % 2 else "xor", 10, 10, 11) for k in range(n)]
+    end = CHAIN_BASE + 4 * n
+    listing = asm.listing("chain", CHAIN_BASE, instrs + [asm.ret()])
+    contract = (f"program chain_{n}_{second_op}\n"
+                f"entry 0x{CHAIN_BASE:x}\n"
+                f"endpoints 0x{end:x}\n"
+                "params p q\n"
+                "pre:\n  gpr[10] == p\n  gpr[11] == q\n"
+                f"post 0x{end:x}:\n  gpr[10] == p\n")
+    return listing, contract
+
+
 def load_fixture(name):
     """(slice, program, liftmap, contract) for a corpus fixture."""
     dis, rc = fixture(name)

@@ -360,3 +360,307 @@ def test_print_program_matches_grammar():
     assert "(block 0x10488" in text
     assert "(assign x10 (+ (den x10) (const64 0x1)))" in text
     assert "(jmp 0x1048c)" in text
+
+
+# ---------------------------------------------------------------------------
+# The walkers over `bir.fold` against recursive reference versions (the
+# memoised recursive walkers they replaced), and at a depth no recursive
+# walker survives.
+
+def _ref_fold_order(e):
+    """Distinct nodes in memoised recursive post-order."""
+    out, memo = [], set()
+
+    def go(e):
+        if id(e) in memo:
+            return
+        memo.add(id(e))
+        for k in _children(e):
+            go(k)
+        out.append(e)
+
+    go(e)
+    return out
+
+
+def _ref_type_of(exp, var_types=None):
+    seen = {} if var_types is None else dict(var_types)
+    memo = set()
+
+    def walk(e):
+        if id(e) in memo:
+            return
+        memo.add(id(e))
+        if isinstance(e, bir.Den):
+            prior = seen.get(e.var.name)
+            if prior is not None and prior is not e.var.ty:
+                raise bir.TypeMismatch(f"variable {e.var.name} used at {e.var.ty} and {prior}")
+            seen[e.var.name] = e.var.ty
+        for k in _children(e):
+            walk(k)
+
+    walk(exp)
+    return exp.ty
+
+
+def _ref_eval(exp, env, interp=None):
+    memo = {}
+
+    def ev(e):
+        if id(e) not in memo:
+            memo[id(e)] = _ev(e)
+        return memo[id(e)]
+
+    def _ev(e):
+        if isinstance(e, bir.Const):
+            return e.val
+        if isinstance(e, bir.Den):
+            return env[e.var]
+        if isinstance(e, bir.Sym):
+            return interp[e.name]
+        if isinstance(e, bir.UnOp):
+            w = e.ty.width
+            return ev(e.a) ^ mask(w) if e.op == "not" else (-ev(e.a)) & mask(w)
+        if isinstance(e, bir.BinOp):
+            return bir._binop_val(e.op, ev(e.a), ev(e.b), e.ty.width)
+        if isinstance(e, bir.BinPred):
+            a, b = ev(e.a), ev(e.b)
+            if e.a.ty is bir.Mem:
+                same = bir.mem_equal(a, b)
+                return int(same) if e.op == "eq" else int(not same)
+            w = e.a.ty.width
+            return int({"eq": a == b, "ne": a != b, "ult": a < b, "ule": a <= b,
+                        "slt": bir.to_signed(a, w) < bir.to_signed(b, w)}[e.op])
+        if isinstance(e, bir.Ite):
+            return ev(e.then) if ev(e.cond) == 1 else ev(e.els)
+        if isinstance(e, bir.Cast):
+            a = ev(e.a)
+            w0, w1 = e.a.ty.width, e.ty.width
+            if e.kind == "low":
+                return a & mask(w1)
+            return a if e.kind == "zext" else bir.to_signed(a, w0) & mask(w1)
+        if isinstance(e, bir.Load):
+            return bir.load_bytes(ev(e.mem), ev(e.addr), e.width // 8)
+        m = dict(ev(e.mem))
+        bir.store_bytes(m, ev(e.addr), ev(e.value), e.value.ty.width // 8)
+        return m
+
+    return ev(exp)
+
+
+def _ref_subst(exp, var_map=None, sym_map=None):
+    memo = {}
+
+    def go(e):
+        if id(e) not in memo:
+            memo[id(e)] = _go(e)
+        return memo[id(e)]
+
+    def _go(e):
+        kids = _children(e)
+        if kids:
+            new = [go(k) for k in kids]
+            return e if all(a is b for a, b in zip(new, kids)) else e.with_kids(*new)
+        if isinstance(e, bir.Den) and var_map and e.var in var_map:
+            return var_map[e.var]
+        if isinstance(e, bir.Sym) and sym_map and e.name in sym_map:
+            return sym_map[e.name]
+        return e
+
+    return go(exp)
+
+
+def _ref_print(e):
+    memo = {}
+
+    def p(e):
+        if id(e) not in memo:
+            memo[id(e)] = _p(e)
+        return memo[id(e)]
+
+    def _p(e):
+        if isinstance(e, bir.Const):
+            return f"(const{e.ty.width} 0x{e.val:x})"
+        if isinstance(e, bir.Den):
+            return f"(den {e.var.name})"
+        if isinstance(e, bir.Sym):
+            return f"(sym {e.name} {e.ty})"
+        if isinstance(e, bir.UnOp):
+            return f"({e.op} {p(e.a)})"
+        if isinstance(e, bir.BinOp):
+            return f"({bir._BINOP_SYM[e.op]} {p(e.a)} {p(e.b)})"
+        if isinstance(e, bir.BinPred):
+            return f"({bir._PRED_SYM[e.op]} {p(e.a)} {p(e.b)})"
+        if isinstance(e, bir.Ite):
+            return f"(ite {p(e.cond)} {p(e.then)} {p(e.els)})"
+        if isinstance(e, bir.Cast):
+            return f"({e.kind} {e.ty.width} {p(e.a)})"
+        if isinstance(e, bir.Load):
+            return f"(load {p(e.mem)} {p(e.addr)} {e.width})"
+        return f"(store {p(e.mem)} {p(e.addr)} {p(e.value)})"
+
+    return p(e)
+
+
+def _ref_simplify(e, passes=3):
+    """The simplifier's rules driven by a memoised recursive walk."""
+    from bircheck.symexec import Simplifier
+    sim = Simplifier(passes=passes)
+
+    def walk(e, memo):
+        if id(e) not in memo:
+            kids = [walk(k, memo) for k in _children(e)]
+            memo[id(e)] = sim._rule(e, kids)
+        return memo[id(e)]
+
+    for _ in range(passes):
+        out = walk(e, {})
+        if out is e:
+            break
+        e = out
+    return e
+
+
+def _ref_encode(obl):
+    """`encode` with its sharing count and rendering as memoised recursion
+    over the per-node renderer."""
+    from bircheck.smt import backend
+    asserted = backend._terms_of(obl)
+    refs, rendered, emit = {}, {}, []
+
+    def count(e):
+        refs[id(e)] = refs.get(id(e), 0) + 1
+        if refs[id(e)] == 1:
+            for k in _children(e):
+                count(k)
+
+    def render(e):
+        if id(e) not in rendered:
+            text = backend._render(e, [render(k) for k in _children(e)])
+            if refs[id(e)] > 1 and not isinstance(e, (bir.Const, bir.Sym)):
+                name = f".t{sum(l.startswith('(define-fun .t') for l in emit)}"
+                emit.append(f"(define-fun {name} () {backend._sort_of(e.ty)} {text})")
+                text = name
+            rendered[id(e)] = text
+        return rendered[id(e)]
+
+    for _, d in obl.defs:
+        count(d)
+    for t in asserted:
+        count(t)
+    lines = ["(set-logic QF_ABV)"]
+    lines += [f"(declare-const {s.name} {backend._sort_of(s.ty)})"
+              for s in backend._declared_syms(obl).values()]
+    for s, d in obl.defs:
+        body = render(d)
+        emit.append(f"(define-fun {s.name} () {backend._sort_of(s.ty)} {body})")
+    for t in asserted:
+        emit.append(f"(assert (= {render(t)} #b1))")
+    return "\n".join(lines + emit + ["(check-sat)", "(get-model)"]) + "\n"
+
+
+def test_fold_visits_distinct_nodes_children_first_left_to_right():
+    for e in _random_traversal_inputs(200, 34):
+        seen = []
+        bir.fold(e, lambda n, kv: seen.append(n))
+        assert seen == _ref_fold_order(e)
+        assert bir.fold(e, lambda n, kv: 1 + sum(kv)) == bir.node_count(e)
+
+
+def test_fold_shares_a_memo_across_roots():
+    x = den(X10)
+    e1 = binop("plus", x, const(64, 1))
+    e2 = binop("xor", e1, x)
+    seen, memo = [], {}
+    bir.fold(e1, lambda n, kv: seen.append(n), memo)
+    bir.fold(e2, lambda n, kv: seen.append(n), memo)
+    assert seen == [x, const(64, 1), e1, e2]
+
+
+def test_walkers_match_recursive_references():
+    a, b = BirVar("a", bir.Imm64), BirVar("b", bir.Imm32)
+    rng = random.Random(35)
+    for e in _random_traversal_inputs(300, 36):
+        assert bir.print_exp(e) == _ref_print(e)
+        assert bir.type_of(e) is _ref_type_of(e)
+        var_map = {a: sym("ra", bir.Imm64), M: store(den(M), den(a), const(8, 1))}
+        sym_map = {"sa": binop("plus", den(a), const(64, 3))}
+        assert bir.subst(e, var_map, sym_map) is _ref_subst(e, var_map, sym_map)
+        env = {a: rng.getrandbits(64), b: rng.getrandbits(32),
+               M: {rng.getrandbits(64): rng.getrandbits(8) for _ in range(3)}}
+        interp = {"sa": rng.getrandbits(64)}
+        assert bir.eval_exp(e, env, interp) == _ref_eval(e, env, interp)
+        from bircheck.symexec import simplify_exp
+        assert simplify_exp(e) is _ref_simplify(e)
+
+
+def test_type_of_reports_the_same_first_clash_as_the_reference():
+    x32 = BirVar("x10", bir.Imm32)
+    e = binop("plus", cast("zext", 64, den(x32)), den(X10))
+    with pytest.raises(bir.TypeMismatch) as got:
+        bir.type_of(e)
+    with pytest.raises(bir.TypeMismatch) as want:
+        _ref_type_of(e)
+    assert str(got.value) == str(want.value)
+
+
+def test_encode_matches_recursive_reference():
+    from bircheck.smt import Obligation, encode
+    a, b = BirVar("a", bir.Imm64), BirVar("b", bir.Imm32)
+    to_syms = {a: sym("s_a", bir.Imm64), b: sym("s_b", bir.Imm32),
+               M: sym("s_M", bir.Mem)}
+    exps = [bir.subst(e, var_map=to_syms) for e in _random_traversal_inputs(120, 37)]
+    for i in range(0, len(exps) - 3, 4):
+        e1, e2, e3, e4 = exps[i:i + 4]
+        ab0 = sym("ab0", bir.Imm64)
+        defs = ((ab0, binop("plus", e1, e2)),)
+        hyp = binpred("ult", binop("xor", ab0, e1), e3)
+        goal = binpred("eq", binop("plus", e4, e1), ab0)
+        for kind in ("feasibility", "entailment"):
+            obl = Obligation(kind, (hyp,), goal, defs=defs)
+            assert encode(obl) == _ref_encode(obl)
+
+
+DEPTH = 5000
+
+
+def _deep_chain(depth=DEPTH):
+    """((((x ^ y) + y) ^ y) + y)... over 8-bit leaves, `depth` operators
+    deep; built bottom-up, so building needs no recursion."""
+    x, y = den(BirVar("x", bir.Imm8)), sym("y", bir.Imm8)
+    e = x
+    for k in range(depth):
+        e = binop("xor" if k % 2 == 0 else "plus", e, y)
+    return e
+
+
+def _chain_value(xv, yv, depth=DEPTH):
+    v = xv
+    for k in range(depth):
+        v = v ^ yv if k % 2 == 0 else (v + yv) & 0xFF
+    return v
+
+
+def test_walkers_handle_depth_5000_at_the_default_recursion_limit():
+    import sys
+    from bircheck.symexec import simplify_exp
+    assert sys.getrecursionlimit() <= 1000 < DEPTH
+    e = _deep_chain()
+    xvar = BirVar("x", bir.Imm8)
+    assert bir.node_count(e) == 2 * DEPTH + 1
+    assert bir.type_of(e) is bir.Imm8
+    seen = {}
+    bir._collect_vars(e, seen)
+    assert list(seen) == ["x"]
+    text = bir.print_exp(e)
+    assert text.startswith("(+ (^ " * 3) and text.count("(sym y imm8)") == DEPTH
+    assert bir.eval_exp(e, {xvar: 0x5A}, {"y": 0x3C}) == _chain_value(0x5A, 0x3C)
+    s = bir.subst(e, var_map={xvar: sym("x0", bir.Imm8)})
+    assert bir.node_count(s) == bir.node_count(e)
+    assert bir.subst(s, sym_map={"x0": den(xvar)}) is e
+    # every "+ 0" disappears: the simplified chain is the xor/plus chain
+    padded = den(xvar)
+    for k in range(DEPTH):
+        op = "xor" if k % 2 == 0 else "plus"
+        padded = binop("plus", binop(op, padded, sym("y", bir.Imm8)), const(8, 0))
+    assert simplify_exp(padded) is e

@@ -9,6 +9,8 @@ from bircheck.corpus import fixture
 from bircheck.smt import SolverConfig
 from bircheck.symexec import EngineConfig
 
+from conftest import chain_program
+
 
 @pytest.fixture
 def incr_files(tmp_path):
@@ -187,3 +189,41 @@ def test_flag_defaults_are_the_config_defaults(flag, dest, default):
     # the module docstring quotes the same default
     line = next(l for l in cli.__doc__.splitlines() if l.strip().startswith(flag + " "))
     assert line.rstrip().endswith(f"({'off' if default is None else default})")
+
+
+def test_internal_error_exits_4(incr_files, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli.contracts, "verify", broken)
+    d, c = incr_files
+    assert main(["verify", d, c]) == 4
+    assert "error: internal: RuntimeError: boom" in capsys.readouterr().err
+
+
+def test_deeply_parenthesised_contract_exits_2(incr_files, tmp_path, capsys):
+    d, _ = incr_files
+    deep = tmp_path / "deep.ctr"
+    deep.write_text("program incr\nentry 0x10488\nendpoints 0x1048c\nparams pre_x10\n"
+                    "pre:\n  gpr[10] == " + "(" * 500 + "pre_x10" + ")" * 500 + "\n")
+    assert main(["verify", d, str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert "nest deeper than" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("threshold", [None, "100000"])
+@pytest.mark.parametrize("second_op,want", [("add", 1), ("xor", 0)])
+def test_600_instruction_chain_gets_its_verdict(tmp_path, capsys, threshold,
+                                                second_op, want):
+    # each instruction feeds the next: the default run abbreviates into ~300
+    # chained definitions, the high threshold keeps one 600-deep expression
+    listing, contract = chain_program(600, second_op)
+    d, c = tmp_path / "chain.dis", tmp_path / "chain.ctr"
+    d.write_text(listing)
+    c.write_text(contract)
+    flags = ["--abbrev-threshold", threshold] if threshold else []
+    assert main(["verify", str(d), str(c)] + flags) == want
+    out = capsys.readouterr().out
+    if want == 1:
+        assert "post holds: False" in out
+        assert "ab0=" not in out

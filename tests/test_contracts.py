@@ -12,7 +12,7 @@ from bircheck.contracts import (ContractError, RBin, RCmp, RConst,
 from bircheck.corpus import fixture, fixture_config
 from bircheck.lifter import MEM8, xvar
 
-from conftest import load_fixture
+from conftest import chain_program, load_fixture
 
 
 def test_translate_gpr_equality_matches_ir_shape():
@@ -76,6 +76,60 @@ def test_contract_parser_errors():
     with pytest.raises(ContractError):
         parse_contract("program p\nentry 0x10\nendpoints 0x14\npre:\n"
                        "  gpr[99] == 0\n")
+
+
+def test_contract_parser_bounds_parenthesis_nesting():
+    def contract(depth, opener="("):
+        e = opener * depth + "pre_x10" + ")" * depth
+        return ("program p\nentry 0x10488\nendpoints 0x1048c\nparams pre_x10\n"
+                f"pre:\n  gpr[10] == {e}\n")
+
+    limit = contracts._ExprParser.MAX_NESTING
+    assert parse_contract(contract(limit)).pre[0].b == RParam("pre_x10")
+    for opener in ("(", "sext32(", "mem_load_dword(", "1 | 2 * ("):
+        parse_contract(contract(limit, opener))  # the deepest accepted shapes
+        with pytest.raises(ContractError, match="nest deeper than"):
+            parse_contract(contract(limit + 1, opener))
+
+
+def test_contract_parser_unary_minus_chain_needs_no_recursion():
+    rc = parse_contract("program p\nentry 0x10488\nendpoints 0x1048c\nparams q\n"
+                        "pre:\n  gpr[10] == " + "- " * 3000 + "q\n")
+    e = rc.pre[0].b
+    for _ in range(3000):
+        assert e.op == "sub" and e.a == RConst(0)
+        e = e.b
+    assert e == RParam("q")
+
+
+def test_flat_1500_term_postcondition_verifies(solver):
+    # "pre_x10 + 1 + q - q + q - q ...": a left-deep tree 1500 terms long,
+    # through parsing, translation, printing, evaluation and verification
+    sl, prog, lm, rc = load_fixture("incr")
+    terms = " + q - q" * 749
+    rc = parse_contract("program incr\nentry 0x10488\nendpoints 0x1048c\n"
+                        "params pre_x10 q\npre:\n  gpr[10] == pre_x10\n"
+                        f"post 0x1048c:\n  gpr[10] == pre_x10 + 1{terms}\n")
+    post = rc.post[0x1048C]
+    assert bir.node_count(translate(post)) > 3000
+    assert contracts.pred_params(post) == ["pre_x10", "q"]
+    assert len(print_contract(rc)) > 1500 * 4
+    assert translation_check(post, trials=3, seed=1) == []
+    res = verify(to_bir(rc, prog), solver=solver)
+    assert res.verdict == "verified", res.reason
+
+
+def test_counterexample_names_inputs_only(solver):
+    # the 200-instruction xor;add chain abbreviates into ab<N> definitions;
+    # they are not inputs and stay out of the counterexample
+    listing, text = chain_program(200, "add")
+    rc = parse_contract(text)
+    sl = disasm.make_slice(disasm.parse_objdump(listing), rc.entry, rc.endpoints)
+    prog, _ = lifter.lift_slice(sl)
+    res = verify(to_bir(rc, prog), solver=solver)
+    assert res.verdict == "refuted"
+    assert set(res.counterexample) == {"p", "q", "s_x10", "s_x11"}
+    assert replay_counterexample(rc, sl, res.counterexample) == (res.endpoint, False)
 
 
 def test_verify_incr_fig_contract(solver):

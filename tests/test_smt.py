@@ -120,10 +120,11 @@ def test_abbreviation_defs_are_inlined(solver):
     goal = binpred("eq", a, binop("plus", S, const(64, 1)))
     v = check(Obligation("entailment", (), goal, defs=defs), solver)
     assert v.is_unsat
-    # model for a sat obligation is extended over the definitions
+    # the model binds the free symbols only; the definitions extend it
     v2 = check(Obligation("feasibility", (binpred("eq", a, const(64, 9)),),
                           bir.true_exp, defs=defs), solver)
-    assert v2.is_sat and v2.model["ab0"] == 9 and v2.model["s_x10"] == 8
+    assert v2.is_sat and v2.model == {"s_x10": 8}
+    assert bir.extend_interp(v2.model, defs)["ab0"] == 9
 
 
 def test_encoding_faithfulness_random_ground_exprs(solver):
@@ -299,3 +300,28 @@ def test_minismt_vs_eval_on_random_formulas():
                                   const(8, 0)),), bir.true_exp)
         v = check(obl, SolverConfig())
         assert v.is_sat == want_sat, bir.print_exp(e)
+
+
+def test_encode_and_bundled_solver_handle_depth_5000():
+    # a 5000-deep chain through encode, then minismt's term parser,
+    # equality elimination (substitute), bit-blaster and model evaluator,
+    # all at the default recursion limit
+    from bircheck.smt.backend import parse_model
+    from test_bir import DEPTH, _chain_value, _deep_chain
+    assert sys.getrecursionlimit() <= 1000 < DEPTH
+    x, y, z = (sym(n, bir.Imm8) for n in ("x", "y", "z"))
+    chain = bir.subst(_deep_chain(), var_map={bir.BirVar("x", bir.Imm8): x})
+    hyps = (binpred("eq", x, const(8, 0x5A)),   # eliminated into the chain
+            binpred("eq", z, chain),            # z is evaluated from the chain
+            binpred("eq", binop("plus", z, y), const(8, 7)))  # blasted
+    obl = Obligation("feasibility", hyps, bir.true_exp)
+    text = encode(obl)
+    assert text.count("bvxor") == DEPTH // 2
+    out = run_minismt(text)
+    assert out.startswith("sat\n")
+    model = parse_model(out.partition("\n")[2])
+    assert model["x"] == 0x5A
+    assert model["z"] == _chain_value(0x5A, model["y"])
+    assert (model["z"] + model["y"]) & 0xFF == 7
+    for h in hyps:
+        assert bir.eval_exp(h, {}, model) == 1
