@@ -1,8 +1,9 @@
 """Typed block-structured intermediate language for lifted RV64 code.
 
 A program is an ordered list of labeled blocks; each block is a list of
-assignments (plus optional asserts) ending in a jump, a conditional jump,
-or a halt.  Expressions are fixed-width words (1/8/16/32/64 bit) and a
+assignments ending in a jump (to an address or a computed one) or a
+conditional jump between two addresses: exactly what `lifter.lift_instr`
+builds.  Expressions are fixed-width words (1/8/16/32/64 bit) and a
 byte-granular little-endian memory (64-bit addresses, 8-bit cells).
 
 Expression nodes are interned: building the same node twice yields the
@@ -17,13 +18,13 @@ Text serialization grammar (one ``(block ...)`` form per block)::
     program  ::= (program (vars (NAME TYPE)*) block*)
     TYPE     ::= imm1 | imm8 | imm16 | imm32 | imm64 | mem
     block    ::= (block ADDR "comment" stmt* end)
-    stmt     ::= (assign NAME exp) | (assert exp)
-    end      ::= (jmp ADDR) | (jmp-ind exp) | (cjmp exp ADDR ADDR) | (halt)
+    stmt     ::= (assign NAME exp)
+    end      ::= (jmp ADDR) | (jmp-ind exp) | (cjmp exp ADDR ADDR)
     exp      ::= (constN VALUE)            ; N in 1,8,16,32,64
                | (den NAME) | (sym NAME TYPE)
                | (OP exp exp)              ; + - * udiv & | ^ << >>u >>s
                | (PRED exp exp)            ; == != <u <=u <s
-               | (not exp) | (chsign exp) | (neg exp)
+               | (not exp) | (chsign exp)
                | (ite exp exp exp)
                | (low N exp) | (sext N exp) | (zext N exp)
                | (load exp exp N) | (store exp exp exp)
@@ -98,13 +99,6 @@ class UnboundSymbol(BirError):
     pass
 
 
-class AssertFailed(BirError):
-    def __init__(self, label, index):
-        super().__init__(f"assert failed in block 0x{label:x}, statement {index}")
-        self.label = label
-        self.index = index
-
-
 class IndirectTargetUnresolved(BirError):
     def __init__(self, value):
         super().__init__(f"computed jump target 0x{value:x} is not a block or exit label")
@@ -116,7 +110,7 @@ class IndirectTargetUnresolved(BirError):
 
 BIN_OPS = ("plus", "minus", "mult", "udiv", "and", "or", "xor", "shl", "lshr", "ashr")
 PRED_OPS = ("eq", "ne", "ult", "ule", "slt")
-UN_OPS = ("not", "neg", "chsign")  # neg is an accepted alias of chsign
+UN_OPS = ("not", "chsign")
 CAST_KINDS = ("low", "sext", "zext")
 
 _interned: dict = {}
@@ -382,15 +376,6 @@ class Assign:
 
 
 @dataclass(frozen=True)
-class Assert:
-    exp: BirExp
-
-    def __post_init__(self):
-        if self.exp.ty is not Imm1:
-            raise TypeMismatch("assert condition must be imm1")
-
-
-@dataclass(frozen=True)
 class Jmp:
     """Direct jump when `target` is an int label, computed jump when a BirExp."""
     target: object
@@ -403,8 +388,8 @@ class Jmp:
 @dataclass(frozen=True)
 class CJmp:
     cond: BirExp
-    target_true: object
-    target_false: object
+    target_true: int
+    target_false: int
 
     def __post_init__(self):
         if self.cond.ty is not Imm1:
@@ -412,16 +397,11 @@ class CJmp:
 
 
 @dataclass(frozen=True)
-class Halt:
-    pass
-
-
-@dataclass(frozen=True)
 class BirBlock:
     label: int
     comment: str
     statements: tuple
-    end: object  # Jmp | CJmp | Halt
+    end: object  # Jmp | CJmp
 
 
 @dataclass
@@ -444,19 +424,13 @@ class BirProgram:
         seen = {}
         for b in self.blocks:
             for st in b.statements:
-                if isinstance(st, Assign):
-                    seen.setdefault(st.var.name, st.var)
-                    _collect_vars(st.exp, seen)
-                else:
-                    _collect_vars(st.exp, seen)
+                seen.setdefault(st.var.name, st.var)
+                _collect_vars(st.exp, seen)
             e = b.end
-            if isinstance(e, Jmp) and e.computed:
-                _collect_vars(e.target, seen)
-            elif isinstance(e, CJmp):
+            if isinstance(e, CJmp):
                 _collect_vars(e.cond, seen)
-                for t in (e.target_true, e.target_false):
-                    if isinstance(t, BirExp):
-                        _collect_vars(t, seen)
+            elif e.computed:
+                _collect_vars(e.target, seen)
         return list(seen.values())
 
 
@@ -573,7 +547,7 @@ def eval_exp(exp, env, interp=None):
             a, = kv
             if e.op == "not":
                 return a ^ mask(w)
-            return (-a) & mask(w)  # neg / chsign
+            return (-a) & mask(w)  # chsign
         if isinstance(e, BinOp):
             return _binop_val(e.op, kv[0], kv[1], e.ty.width)
         if isinstance(e, BinPred):
@@ -666,36 +640,23 @@ def mem_equal(m1, m2):
 # ---------------------------------------------------------------------------
 # Block / program execution
 
-HALTED = object()
-
-
 def exec_block(program, block, env):
-    """Run one block concretely.  Returns (new env, next label) where the label
-    is an int address or HALTED.  Computed jump targets are evaluated and must
-    land on a block label or one of `program`'s declared exits (the caller
-    checks exits; here any int is returned as-is)."""
+    """Run one block concretely.  Returns (new env, next label).  Computed
+    jump targets are evaluated and must land on a block label or one of
+    `program`'s declared exits (the caller checks exits; here any int is
+    returned as-is)."""
     env = dict(env)
-    for i, st in enumerate(block.statements):
-        if isinstance(st, Assign):
-            env[st.var] = eval_exp(st.exp, env)
-        else:
-            if eval_exp(st.exp, env) != 1:
-                raise AssertFailed(block.label, i)
+    for st in block.statements:
+        env[st.var] = eval_exp(st.exp, env)
     e = block.end
-    if isinstance(e, Halt):
-        return env, HALTED
-    if isinstance(e, Jmp):
-        t = e.target
-        return env, (eval_exp(t, env) if isinstance(t, BirExp) else t)
-    cond = eval_exp(e.cond, env)
-    t = e.target_true if cond == 1 else e.target_false
-    return env, (eval_exp(t, env) if isinstance(t, BirExp) else t)
+    if isinstance(e, CJmp):
+        return env, (e.target_true if eval_exp(e.cond, env) == 1 else e.target_false)
+    return env, (eval_exp(e.target, env) if e.computed else e.target)
 
 
 def run_program(program, env, entry, exits=(), fuel=10_000):
     """Concrete interpreter driver: execute from `entry` until a label in
-    `exits`, a Halt, or fuel runs out.  Returns (env, stop_label, steps);
-    stop_label is HALTED for Halt ends."""
+    `exits` or fuel runs out.  Returns (env, stop_label, steps)."""
     exits = set(exits)
     at = entry
     steps = 0
@@ -709,8 +670,6 @@ def run_program(program, env, entry, exits=(), fuel=10_000):
             raise BirError(f"fuel exhausted at 0x{at:x} after {steps} blocks")
         env, at = exec_block(program, blk, env)
         steps += 1
-        if at is HALTED:
-            return env, HALTED, steps
 
 
 def validate_program(program, exits=()):
@@ -718,12 +677,11 @@ def validate_program(program, exits=()):
     block label or a declared exit label."""
     ok = set(program.by_label) | set(exits)
     for b in program.blocks:
-        targets = []
-        if isinstance(b.end, Jmp) and not b.end.computed:
-            targets.append(b.end.target)
-        elif isinstance(b.end, CJmp):
-            targets += [t for t in (b.end.target_true, b.end.target_false)
-                        if not isinstance(t, BirExp)]
+        e = b.end
+        if isinstance(e, CJmp):
+            targets = (e.target_true, e.target_false)
+        else:
+            targets = () if e.computed else (e.target,)
         for t in targets:
             if t not in ok:
                 raise BirError(f"block 0x{b.label:x} jumps to undeclared label 0x{t:x}")
@@ -809,23 +767,14 @@ def print_exp(e):
 
 def print_block(b):
     out = [f'(block 0x{b.label:x} "{b.comment}"']
-    for st in b.statements:
-        if isinstance(st, Assign):
-            out.append(f"  (assign {st.var.name} {print_exp(st.exp)})")
-        else:
-            out.append(f"  (assert {print_exp(st.exp)})")
+    out += [f"  (assign {st.var.name} {print_exp(st.exp)})" for st in b.statements]
     e = b.end
-    if isinstance(e, Halt):
-        out.append("  (halt))")
-    elif isinstance(e, Jmp):
-        if e.computed:
-            out.append(f"  (jmp-ind {print_exp(e.target)}))")
-        else:
-            out.append(f"  (jmp 0x{e.target:x}))")
+    if isinstance(e, CJmp):
+        out.append(f"  (cjmp {print_exp(e.cond)} 0x{e.target_true:x} 0x{e.target_false:x}))")
+    elif e.computed:
+        out.append(f"  (jmp-ind {print_exp(e.target)}))")
     else:
-        tt = print_exp(e.target_true) if isinstance(e.target_true, BirExp) else f"0x{e.target_true:x}"
-        tf = print_exp(e.target_false) if isinstance(e.target_false, BirExp) else f"0x{e.target_false:x}"
-        out.append(f"  (cjmp {print_exp(e.cond)} {tt} {tf}))")
+        out.append(f"  (jmp 0x{e.target:x}))")
     return "\n".join(out)
 
 

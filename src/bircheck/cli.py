@@ -119,28 +119,24 @@ def cmd_verify(args):
 
 def cmd_symex(args):
     engine, solver = engine_config(args), solver_config(args)
+    rc = None
     if args.contract:
         with open(args.contract) as f:
             rc = contracts.parse_contract(f.read())
-        entry = rc.entry
-        ends = rc.endpoints
-        pre = contracts.translate(rc.pre)
-        forbidden = rc.forbidden
-        extra = contracts._collect_extra_vars(pre)
-    else:
-        if not (args.entry and args.end):
-            print("symex needs --entry/--end or --contract", file=sys.stderr)
-            return EXIT_INPUT
+        entry, ends = rc.entry, rc.endpoints
+    elif args.entry and args.end:
         entry = _parse_addr(args.entry)
         ends = {_parse_addr(e) for e in args.end}
-        pre = bir.true_exp
-        forbidden = set()
-        extra = []
+    else:
+        print("symex needs --entry/--end or --contract", file=sys.stderr)
+        return EXIT_INPUT
     sl = _load_slice(args.disasm, entry, ends)
     prog, _ = lifter.lift_slice(sl)
     try:
-        st = symexec.execute(prog, entry, ends, forbidden, pre, engine, solver,
-                             extra_vars=extra)
+        if rc is not None:
+            st = contracts.execute(contracts.to_bir(rc, prog), engine, solver)
+        else:
+            st = symexec.execute(prog, entry, ends, set(), bir.true_exp, engine, solver)
     except symexec.EngineError as e:
         print(f"symbolic execution failed: {e}", file=sys.stderr)
         return EXIT_UNKNOWN
@@ -206,20 +202,21 @@ def cmd_bench(args):
         unit = disasm.parse_objdump(dis)
         n_instr = sum(len(instrs) for _, instrs in unit.sections)
         if rc is not None:
-            entry, ends, forbidden = rc.entry, rc.endpoints, rc.forbidden
-            pre = contracts.translate(rc.pre)
-            extra = contracts._collect_extra_vars(pre)
+            entry, ends = rc.entry, rc.endpoints
         else:
             instrs = list(unit.all_instrs())
             entry, ends = instrs[0].address, {instrs[-1].address}
-            pre, forbidden, extra = bir.true_exp, set(), []
         sl = disasm.make_slice(unit, entry, ends)
         prog, _ = lifter.lift_slice(sl)
         config = engine if args.corpus_dir else fixture_config(name, **overrides)
+        bc = contracts.to_bir(rc, prog) if rc is not None else None
         t0 = time.perf_counter()
         try:
-            st = symexec.execute(prog, entry, ends, forbidden, pre, config,
-                                 solver, extra_vars=extra)
+            if bc is not None:
+                st = contracts.execute(bc, config, solver)
+            else:
+                st = symexec.execute(prog, entry, ends, set(), bir.true_exp,
+                                     config, solver)
             dt = time.perf_counter() - t0
             rows.append({"name": name, "instrs": n_instr, "leaves": len(st.leaves),
                          "seconds": round(dt, 4)})

@@ -21,7 +21,7 @@ Contract file grammar (line oriented, '#' comments)::
     pre:
       <comparison>            ; one conjunct per line
       ...
-    post <addr>:
+    post <addr>:              ; <addr> must be one of the endpoints
       <comparison>
       ...
 
@@ -234,6 +234,9 @@ class RiscvContract:
         for ep in self.endpoints:
             if ep not in self.post:
                 raise ContractError(f"endpoint 0x{ep:x} has no postcondition")
+        for a in self.post:
+            if a not in self.endpoints:
+                raise ContractError(f"postcondition at 0x{a:x} is not an endpoint")
 
 
 @dataclass
@@ -244,7 +247,6 @@ class BirContract:
     forbidden: frozenset
     pre: object            # imm1 SymExpr over program variables + params
     post: dict             # label -> imm1 SymExpr (others implicitly false)
-    invariant: object = bir.true_exp  # carried but fixed to true
 
 
 def to_bir(rc: RiscvContract, program: bir.BirProgram) -> BirContract:
@@ -512,27 +514,29 @@ class VerificationResult:
         }
 
 
-def _collect_extra_vars(*exprs):
+def execute(bc: BirContract, config: symexec.EngineConfig | None = None,
+            solver: SolverConfig | None = None) -> symexec.SymbolicStructure:
+    """The symbolic structure `verify` checks: the engine run from the entry
+    under the precondition, with every variable of pre and post bound to a
+    symbol even where the program does not mention it."""
     seen = {}
-    for e in exprs:
+    for e in (bc.pre, *bc.post.values()):
         bir._collect_vars(e, seen)
-    return list(seen.values())
+    return symexec.execute(bc.program, bc.entry, bc.endpoints, bc.forbidden,
+                           bc.pre, config, solver or SolverConfig(),
+                           extra_vars=list(seen.values()))
 
 
 def verify(bc: BirContract, config: symexec.EngineConfig | None = None,
            solver: SolverConfig | None = None) -> VerificationResult:
     """Symbolically execute under the contract precondition and discharge the
     postcondition entailment for every leaf."""
-    config = config or symexec.EngineConfig()
     solver = solver or SolverConfig()
     t_start = time.perf_counter()
-    extra = _collect_extra_vars(bc.pre, *bc.post.values())
     log = []
     try:
         t0 = time.perf_counter()
-        structure = symexec.execute(bc.program, bc.entry, bc.endpoints,
-                                    bc.forbidden, bc.pre, config, solver,
-                                    extra_vars=extra)
+        structure = execute(bc, config, solver)
         t_symex = time.perf_counter() - t0
     except symexec.BudgetExhausted as e:
         return VerificationResult("unknown", reason=f"budget exhausted: {e}",
@@ -553,7 +557,7 @@ def verify(bc: BirContract, config: symexec.EngineConfig | None = None,
     t_solver = 0.0
     unknown_reason = ""
     for leaf in structure.leaves:
-        if leaf.halted or leaf.at not in bc.endpoints:
+        if leaf.at not in bc.endpoints:
             cex, status = _model_of_state(leaf, solver, log)
             if status == "unsat":
                 continue  # kept pessimistically by pruning, not a real path
@@ -561,8 +565,7 @@ def verify(bc: BirContract, config: symexec.EngineConfig | None = None,
                 result.verdict = "refuted"
                 result.endpoint = leaf.at
                 result.counterexample = cex
-                result.reason = ("halted off-program" if leaf.halted else
-                                 f"leaf at non-endpoint 0x{leaf.at:x}")
+                result.reason = f"leaf at non-endpoint 0x{leaf.at:x}"
                 break
             unknown_reason = f"feasibility unknown at 0x{leaf.at:x}"
             continue

@@ -369,7 +369,7 @@ def check_simulation(i: Instr, addr: int, trials: int, seed: int,
                 mismatch[name] = (s1.csr[name], env1[_CSRVARS[name]])
         if _strip_zero(env1[MEM8]) != _strip_zero(s1.mem):
             mismatch["MEM8"] = (_strip_zero(s1.mem), _strip_zero(env1[MEM8]))
-        if nxt is bir.HALTED or nxt != s1.pc:
+        if nxt != s1.pc:
             mismatch["pc"] = (s1.pc, nxt)
         if mismatch:
             failures.append({"trial": t, "state": s0, "fields": mismatch})

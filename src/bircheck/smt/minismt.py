@@ -332,32 +332,37 @@ class TermBank:
         return self._mk("ashr", w, (a, b))
 
     def extract(self, a, hi, lo):
+        # descends through extract / concat / sext operands in a loop, so a
+        # deep concat chain costs no recursion
         w = hi - lo + 1
-        if lo == 0 and w == self.w[a]:
-            return a
-        if self.is_const(a):
-            return self.const(w, self.cval(a) >> lo)
-        if self.op[a] == "extract":
-            base, bhi, blo = self.args[a]
-            return self.extract(base, blo + hi, blo + lo)
-        if self.op[a] == "concat":
-            hi_t, lo_t = self.args[a]
-            lw = self.w[lo_t]
-            if hi < lw:
-                return self.extract(lo_t, hi, lo)
-            if lo >= lw:
-                return self.extract(hi_t, hi - lw, lo - lw)
-        if self.op[a] == "sext":
-            base = self.args[a][0]
-            bw = self.w[base]
-            if hi < bw:
-                return self.extract(base, hi, lo)
-        if self.op[a] == "lin" and lo == 0:
-            # low bits of a sum depend only on low bits of the addends
-            c, pairs = self.args[a]
-            return self.lin_merge(w, [(self.extract(p, hi, 0), k) for p, k in pairs]
-                                  + [(self.const(w, c), 1)])
-        return self._mk("extract", w, (a, hi, lo))
+        while True:
+            if lo == 0 and w == self.w[a]:
+                return a
+            op = self.op[a]
+            if op == "const":
+                return self.const(w, self.cval(a) >> lo)
+            if op == "extract":
+                a, bhi, blo = self.args[a]
+                hi, lo = blo + hi, blo + lo
+                continue
+            if op == "concat":
+                hi_t, lo_t = self.args[a]
+                lw = self.w[lo_t]
+                if hi < lw:
+                    a = lo_t
+                    continue
+                if lo >= lw:
+                    a, hi, lo = hi_t, hi - lw, lo - lw
+                    continue
+            elif op == "sext" and hi < self.w[self.args[a][0]]:
+                a = self.args[a][0]
+                continue
+            elif op == "lin" and lo == 0:
+                # low bits of a sum depend only on low bits of the addends
+                c, pairs = self.args[a]
+                return self.lin_merge(w, [(self.extract(p, hi, 0), k) for p, k in pairs]
+                                      + [(self.const(w, c), 1)])
+            return self._mk("extract", w, (a, hi, lo))
 
     def concat(self, hi_t, lo_t):
         w = self.w[hi_t] + self.w[lo_t]

@@ -9,10 +9,12 @@ a matched initial state and staying within the visited label set ends in a
 state matched by one of the leaves under the same interpretation.
 
 The engine applies, under a worklist driver, the rule repertoire:
-block stepping with case analysis on conditional and computed jumps,
-solver-backed pruning of infeasible states, expression simplification with
-load-over-store resolution, abbreviation of oversized expressions, symbol
-renaming, and strengthening/weakening of path conditions.
+block stepping (blocks are assignments ending in a jump or a conditional
+jump, as the lifter builds them) with case analysis on conditional and
+computed jumps, solver-backed pruning of infeasible states, one bottom-up
+simplification pass with load-over-store resolution, abbreviation of
+expressions above a node-count threshold, symbol renaming, and
+strengthening/weakening of path conditions.
 """
 
 from __future__ import annotations
@@ -54,25 +56,14 @@ class WeakenNotEntailed(EngineError):
 
 
 class SymbolGen:
-    """Deterministic fresh-symbol source."""
+    """Deterministic source of abbreviation symbols ab0, ab1, ..."""
 
     def __init__(self):
-        self.used = set()
         self.abbrev_count = 0
-
-    def fresh(self, hint, ty):
-        name = hint
-        k = 0
-        while name in self.used:
-            k += 1
-            name = f"{hint}_{k}"
-        self.used.add(name)
-        return sym(name, ty)
 
     def fresh_abbrev(self, ty):
         name = f"ab{self.abbrev_count}"
         self.abbrev_count += 1
-        self.used.add(name)
         return sym(name, ty)
 
 
@@ -81,7 +72,6 @@ class SymbolicState:
     path: object                 # Imm1 SymExpr
     env: dict                    # BirVar -> SymExpr
     at: int
-    halted: bool = False
     abbrevs: tuple = ()          # ((Sym, SymExpr), ...) in introduction order
 
     def with_(self, **kw):
@@ -102,7 +92,6 @@ class EngineConfig:
     max_steps: int = 20_000
     max_states: int = 4_096
     abbrev_threshold: int = 64
-    do_abbreviate: bool = True
 
     def __post_init__(self):
         if self.unroll < 0:
@@ -114,11 +103,11 @@ class EngineConfig:
 # ---------------------------------------------------------------------------
 # Matching
 
-def matches(H, sbar: SymbolicState, concrete_env, at_label, halted=False) -> bool:
+def matches(H, sbar: SymbolicState, concrete_env, at_label) -> bool:
     """H(sbar) = s: path condition true, every mapped variable equal, and the
     control location equal."""
     Hx = bir.extend_interp(H, sbar.abbrevs)
-    if sbar.at != at_label or sbar.halted != halted:
+    if sbar.at != at_label:
         return False
     if bir.eval_exp(sbar.path, {}, Hx) != 1:
         return False
@@ -138,27 +127,28 @@ def matches(H, sbar: SymbolicState, concrete_env, at_label, halted=False) -> boo
 # ---------------------------------------------------------------------------
 # Initial states
 
-def init_state(program, entry, precond, gen: SymbolGen | None = None,
+def init_state(program, entry, precond,
                extra_vars=()) -> tuple[SymbolicState, SymbolGen]:
-    """Map every program variable to a fresh symbol and install the
-    precondition (over those variables) as the path condition."""
+    """Map every program variable (and every one of `extra_vars`) to the
+    symbol s_<name> and install the precondition (over those variables) as
+    the path condition; also returns the run's abbreviation-symbol source.
+    Variables are unique by name, so the s_<name> symbols are."""
     if precond.ty is not bir.Imm1:
         raise bir.TypeMismatch("precondition must be imm1")
-    gen = gen or SymbolGen()
     variables = list(program.variables())
     names = {v.name for v in variables}
     for v in extra_vars:
         if v.name not in names:
             variables.append(v)
             names.add(v.name)
-    env = {v: gen.fresh(f"s_{v.name}", v.ty) for v in variables}
+    env = {v: sym(f"s_{v.name}", v.ty) for v in variables}
     path = bir.subst(precond, var_map={v: env[v] for v in env})
     leftover = {}
     bir._collect_vars(path, leftover)
     if leftover:
         raise EngineError("precondition mentions variables outside the program: "
                           f"{list(leftover)}")
-    return SymbolicState(path=path, env=env, at=entry), gen
+    return SymbolicState(path=path, env=env, at=entry), SymbolGen()
 
 
 # ---------------------------------------------------------------------------
@@ -178,23 +168,17 @@ def _split_base(e):
 
 
 class Simplifier:
-    """Fixed rewrite rules applied to fixpoint with a pass budget; the
+    """Fixed rewrite rules applied in one bottom-up pass; each rule returns
+    a node the rules leave alone, so one pass reaches the fixed point.  The
     solver-backed rules fire only on load-over-store address comparisons."""
 
-    def __init__(self, path=None, abbrevs=(), solver: SolverConfig | None = None,
-                 passes=3):
+    def __init__(self, path=None, abbrevs=(), solver: SolverConfig | None = None):
         self.path = path
         self.abbrevs = dict(abbrevs)
         self.solver = solver
-        self.passes = passes
 
     def simplify(self, e):
-        for _ in range(self.passes):
-            out = bir.fold(e, self._rule)
-            if out is e:
-                break
-            e = out
-        return e
+        return bir.fold(e, self._rule)
 
     def _rule(self, e, kv):
         """One bottom-up rewrite of `e` over its simplified children `kv`."""
@@ -219,7 +203,7 @@ class Simplifier:
     def _rule_unop(self, op, a):
         if isinstance(a, Const):
             return const(a.ty.width, bir.eval_exp(unop(op, a), {}))
-        if isinstance(a, UnOp) and a.op == op and op in ("not", "chsign", "neg"):
+        if isinstance(a, UnOp) and a.op == op:
             return a.a
         return unop(op, a)
 
@@ -391,8 +375,8 @@ class Simplifier:
         return store(mem, addr, value)
 
 
-def simplify_exp(e, path=None, abbrevs=(), solver=None, passes=3):
-    return Simplifier(path, abbrevs, solver, passes).simplify(e)
+def simplify_exp(e, path=None, abbrevs=(), solver=None):
+    return Simplifier(path, abbrevs, solver).simplify(e)
 
 
 def simplify(sbar: SymbolicState, solver: SolverConfig | None = None) -> SymbolicState:
@@ -407,25 +391,23 @@ def simplify(sbar: SymbolicState, solver: SolverConfig | None = None) -> Symboli
 # ---------------------------------------------------------------------------
 # Abbreviation
 
-def abbreviate(sbar: SymbolicState, gen: SymbolGen, select=None,
+def abbreviate(sbar: SymbolicState, gen: SymbolGen,
                threshold: int = 64) -> SymbolicState:
-    """Introduce fresh definition symbols for selected expressions (default:
-    anything above the node-count threshold); expanding the definitions
-    restores the original state."""
-    if select is None:
-        select = lambda e: bir.node_count(e) > threshold
+    """Introduce fresh definition symbols for the expressions above the
+    node-count threshold; expanding the definitions restores the original
+    state."""
     abbrevs = list(sbar.abbrevs)
     env = dict(sbar.env)
     changed = False
     for v in env:
         e = env[v]
-        if not isinstance(e, Sym) and select(e):
+        if not isinstance(e, Sym) and bir.node_count(e) > threshold:
             a = gen.fresh_abbrev(e.ty)
             abbrevs.append((a, e))
             env[v] = a
             changed = True
     path = sbar.path
-    if not isinstance(path, (Sym, Const)) and select(path):
+    if not isinstance(path, (Sym, Const)) and bir.node_count(path) > threshold:
         a = gen.fresh_abbrev(bir.Imm1)
         abbrevs.append((a, path))
         path = a
@@ -504,38 +486,25 @@ def step_block(program, sbar: SymbolicState, solver: SolverConfig | None = None,
     if block is None:
         raise EngineError(f"no block at 0x{sbar.at:x}")
     env = dict(sbar.env)
-    path = sbar.path
     for st in block.statements:
-        if isinstance(st, bir.Assign):
-            env = dict(env)
-            env[st.var] = _subst_env(st.exp, env)
-        else:
-            # assert is treated as an assumption on this path (the lifter
-            # never emits it; the concrete interpreter checks it)
-            path = binop("and", path, _subst_env(st.exp, env))
-    base = sbar.with_(env=env, path=path)
+        env[st.var] = _subst_env(st.exp, env)
+    base = sbar.with_(env=env)
     end = block.end
 
-    if isinstance(end, bir.Halt):
-        return [base.with_(halted=True)]
     if isinstance(end, bir.Jmp):
-        return _goto(program, base, end.target, solver, max_targets)
-    cond = simplify_exp(_subst_env(end.cond, env), passes=2)
+        return _goto(base, end.target, solver, max_targets)
+    cond = simplify_exp(_subst_env(end.cond, env))
     if isinstance(cond, Const):
-        target = end.target_true if cond.val == 1 else end.target_false
-        return _goto(program, base, target, solver, max_targets)
-    out = []
-    out += _goto(program, base.with_(path=binop("and", path, cond)),
-                 end.target_true, solver, max_targets)
-    out += _goto(program, base.with_(path=binop("and", path, unop("not", cond))),
-                 end.target_false, solver, max_targets)
-    return out
+        return [base.with_(at=end.target_true if cond.val == 1 else end.target_false)]
+    return [base.with_(path=binop("and", sbar.path, cond), at=end.target_true),
+            base.with_(path=binop("and", sbar.path, unop("not", cond)),
+                       at=end.target_false)]
 
 
-def _goto(program, state, target, solver, max_targets):
+def _goto(state, target, solver, max_targets):
     if not isinstance(target, bir.BirExp):
         return [state.with_(at=target)]
-    t_exp = simplify_exp(_subst_env(target, state.env), passes=2)
+    t_exp = simplify_exp(_subst_env(target, state.env))
     if isinstance(t_exp, Const):
         return [state.with_(at=t_exp.val)]
     if solver is None:
@@ -587,14 +556,13 @@ def prune_infeasible(states, solver: SolverConfig | None):
 def execute(program, entry, endpoints, forbidden, precond,
             config: EngineConfig | None = None,
             solver: SolverConfig | None = None,
-            gen: SymbolGen | None = None,
             extra_vars=()) -> SymbolicStructure:
     """Worklist-driven symbolic execution from `entry` until every frontier
-    state sits at an endpoint (or has halted / left the program)."""
+    state sits at an endpoint (or has left the program)."""
     config = config or EngineConfig()
     endpoints = frozenset(endpoints)
     forbidden = frozenset(forbidden)
-    initial, gen = init_state(program, entry, precond, gen, extra_vars)
+    initial, gen = init_state(program, entry, precond, extra_vars)
     labels = {entry}
     leaves = []
     # stack entries: (state, per-path visit counts)
@@ -604,7 +572,7 @@ def execute(program, entry, endpoints, forbidden, precond,
         state, visits = stack.pop()
         if state.at in forbidden:
             raise ForbiddenLabelReached(state.at, state)
-        if state.halted or state.at in endpoints or program.block(state.at) is None:
+        if state.at in endpoints or program.block(state.at) is None:
             labels.add(state.at)
             leaves.append(state)
             continue
@@ -622,9 +590,8 @@ def execute(program, entry, endpoints, forbidden, precond,
         if len(children) > 1:
             children = prune_infeasible(children, solver)
         children = [simplify(c, solver) for c in children]
-        if config.do_abbreviate:
-            children = [abbreviate(c, gen, threshold=config.abbrev_threshold)
-                        for c in children]
+        children = [abbreviate(c, gen, threshold=config.abbrev_threshold)
+                    for c in children]
         if len(stack) + len(children) + len(leaves) > config.max_states:
             raise BudgetExhausted(f"state budget {config.max_states} exceeded",
                                   frontier=[s for s, _ in stack])
@@ -641,7 +608,7 @@ def execute(program, entry, endpoints, forbidden, precond,
 # Rendering
 
 def state_to_text(s: SymbolicState) -> str:
-    out = [f"at 0x{s.at:x}{' (halted)' if s.halted else ''}"]
+    out = [f"at 0x{s.at:x}"]
     out.append(f"  path {bir.print_exp(s.path)}")
     for v in s.env:
         out.append(f"  {v.name} = {bir.print_exp(s.env[v])}")
@@ -663,7 +630,7 @@ def structure_to_text(st: SymbolicStructure) -> str:
 def _state_json(s):
     return {
         "at": f"0x{s.at:x}",
-        "halted": s.halted,
+        "halted": False,  # kept: bircheck-structure/1 field names are stable
         "path": bir.print_exp(s.path),
         "env": {v.name: bir.print_exp(e) for v, e in s.env.items()},
         "abbrevs": [{"name": a.name, "def": bir.print_exp(d)} for a, d in s.abbrevs],

@@ -107,10 +107,8 @@ def test_criterion_7_scaling_shape(solver, capsys, tmp_path):
     for name, bound in (("swap", 5.0), ("motor", 60.0)):
         sl, prog, lm, rc = load_fixture(name)
         bc = contracts.to_bir(rc, prog)
-        extra = contracts._collect_extra_vars(bc.pre, *bc.post.values())
         t0 = time.perf_counter()
-        symexec.execute(prog, bc.entry, bc.endpoints, bc.forbidden, bc.pre,
-                        fixture_config(name), solver, extra_vars=extra)
+        contracts.execute(bc, fixture_config(name), solver)
         times[name] = time.perf_counter() - t0
         assert times[name] < bound, (name, times[name])
 
@@ -127,9 +125,11 @@ def test_criterion_7_scaling_shape(solver, capsys, tmp_path):
         sl, prog, lm, rc = load_fixture(name)
         entry = sl.entry
         ends = sl.end_addrs
-        cfg = symexec.EngineConfig(do_abbreviate=False)
+        # a threshold far above the chains' tree sizes: nothing is abbreviated
+        cfg = symexec.EngineConfig(abbrev_threshold=100_000)
         st = symexec.execute(prog, entry, ends, set(), bir.true_exp, cfg, solver)
         (leaf,) = st.leaves
+        assert leaf.abbrevs == ()
         sizes[name] = bir.node_count(leaf.env[lifter.MEM8])
     assert sizes["store_chain_8"] >= 2 * sizes["store_chain_4"], sizes
     print(f"ACCEPTANCE 7: pass - swap symex {times['swap']*1000:.0f}ms (< 5s), "

@@ -211,6 +211,17 @@ def test_deeply_parenthesised_contract_exits_2(incr_files, tmp_path, capsys):
     assert "nest deeper than" in err and "Traceback" not in err
 
 
+def test_post_at_non_endpoint_exits_2(incr_files, tmp_path, capsys):
+    # a mistyped post address used to be ignored: the real endpoint got the
+    # trivial postcondition and this wrong post "verified"
+    d, c = incr_files
+    typo = tmp_path / "typo.ctr"
+    typo.write_text(open(c).read().replace("post 0x1048c:", "post 0x1048d:")
+                    .replace("(pre_x10 + 1)", "(pre_x10 + 2)"))
+    assert main(["verify", d, str(typo)]) == 2
+    assert "postcondition at 0x1048d is not an endpoint" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("threshold", [None, "100000"])
 @pytest.mark.parametrize("second_op,want", [("add", 1), ("xor", 0)])
 def test_600_instruction_chain_gets_its_verdict(tmp_path, capsys, threshold,

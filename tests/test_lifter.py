@@ -133,6 +133,18 @@ def test_lift_instr_deterministic():
         assert b1 == b2
 
 
+def test_lifted_blocks_use_only_assign_jmp_and_int_target_cjmp():
+    rng = random.Random(15)
+    for kind in isa.ALL_KINDS:
+        for _ in range(20):
+            b = lifter.lift_instr(lifter.sample_instr(kind, rng), 0x7000)
+            assert all(type(st) is Assign for st in b.statements), kind
+            assert type(b.end) in (Jmp, CJmp), kind
+            if type(b.end) is CJmp:
+                assert type(b.end.target_true) is int, kind
+                assert type(b.end.target_false) is int, kind
+
+
 def test_check_simulation_addi_passes():
     rep = lifter.check_simulation(Instr("addi", rd=10, rs1=10, imm=1), 0x10488,
                                   trials=200, seed=42)

@@ -325,3 +325,15 @@ def test_encode_and_bundled_solver_handle_depth_5000():
     assert (model["z"] + model["y"]) & 0xFF == 7
     for h in hyps:
         assert bir.eval_exp(h, {}, model) == 1
+
+
+def test_minismt_extract_through_a_3000_deep_concat_chain():
+    # TermBank.extract descends the chain in a loop, not by recursion
+    chain = "x"
+    for _ in range(3000):
+        chain = f"(concat y {chain})"
+    assert sys.getrecursionlimit() < 3000
+    out = run_minismt("(set-logic QF_BV)\n(declare-const x (_ BitVec 8))\n"
+                      "(declare-const y (_ BitVec 8))\n"
+                      f"(assert (= ((_ extract 7 0) {chain}) x))\n(check-sat)\n")
+    assert out == "sat\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -207,7 +208,7 @@ def test_abbreviate_and_expand_roundtrip():
 
 def test_abbreviate_lone_symbol_unchanged():
     st = SymbolicState(path=bir.true_exp, env={X10: S0}, at=0)
-    ab = abbreviate(st, SymbolGen(), select=lambda e: True)
+    ab = abbreviate(st, SymbolGen(), threshold=0)
     assert ab.env[X10] is S0 and ab.abbrevs == ()
 
 
@@ -338,14 +339,16 @@ def test_engine_config_validates(kw):
         EngineConfig(**kw)
 
 
+def test_engine_config_fields_are_the_settable_ones():
+    assert [f.name for f in dataclasses.fields(EngineConfig)] == \
+        ["unroll", "max_steps", "max_states", "abbrev_threshold"]
+
+
 def test_execute_deterministic(solver):
     _, prog, lm, rc = load_fixture("motor")
     bc = contracts.to_bir(rc, prog)
-    extra = contracts._collect_extra_vars(bc.pre)
-    a = execute(prog, bc.entry, bc.endpoints, set(), bc.pre, solver=solver,
-                extra_vars=extra)
-    b = execute(prog, bc.entry, bc.endpoints, set(), bc.pre, solver=solver,
-                extra_vars=extra)
+    a = contracts.execute(bc, solver=solver)
+    b = contracts.execute(bc, solver=solver)
     assert symexec.structure_to_text(a) == symexec.structure_to_text(b)
 
 
