@@ -530,7 +530,8 @@ def execute(bc: BirContract, config: symexec.EngineConfig | None = None,
 def verify(bc: BirContract, config: symexec.EngineConfig | None = None,
            solver: SolverConfig | None = None) -> VerificationResult:
     """Symbolically execute under the contract precondition and discharge the
-    postcondition entailment for every leaf."""
+    postcondition entailment for every leaf, one solver check each; that
+    check also decides any load/store aliasing the simplifier left open."""
     solver = solver or SolverConfig()
     t_start = time.perf_counter()
     log = []
@@ -570,8 +571,7 @@ def verify(bc: BirContract, config: symexec.EngineConfig | None = None,
             unknown_reason = f"feasibility unknown at 0x{leaf.at:x}"
             continue
         goal = bir.subst(bc.post[leaf.at], var_map=leaf.env)
-        goal = symexec.simplify_exp(goal, path=leaf.path, abbrevs=leaf.abbrevs,
-                                    solver=solver)
+        goal = symexec.simplify_exp(goal, abbrevs=leaf.abbrevs)
         obl = Obligation("entailment", (leaf.path,), goal,
                          origin=f"post@0x{leaf.at:x}", defs=leaf.abbrevs)
         t0 = time.perf_counter()
@@ -626,11 +626,15 @@ def params_from_model(rc: RiscvContract, model) -> dict:
 
 def replay_counterexample(rc: RiscvContract, prog_slice, model, fuel=100_000):
     """Run the ISA interpreter from the counter-model's initial state and
-    report (stop address, post holds?)."""
+    report (stop address, post holds?).  A run that leaves the slice stops
+    where it left; no postcondition holds there."""
     m = machine_from_model(model)
     m.pc = rc.entry
     params = params_from_model(rc, model)
-    final, _ = isa.run(m, prog_slice, fuel)
+    try:
+        final, _ = isa.run(m, prog_slice, fuel)
+    except isa.PcOutsideSlice as e:
+        return e.pc, False
     post = rc.post.get(final.pc)
     holds = post is not None and eval_pred(post, final, params)
     return final.pc, holds

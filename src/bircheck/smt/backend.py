@@ -49,7 +49,7 @@ class SolverModelUnsound(SmtError):
     re-evaluation (zero tolerance; this is a soundness bug somewhere)."""
 
 
-OBLIGATION_KINDS = ("feasibility", "simplification", "entailment")
+OBLIGATION_KINDS = ("feasibility", "entailment")
 
 _stats = {"checks": 0, "sat_models_checked": 0, "sat_model_failures": 0}
 
@@ -104,7 +104,7 @@ class SolverConfig:
     timeout: float | None = 30.0   # seconds; None waits forever, 0 answers unknown
     dump_dir: str | None = None
     pool: int = 4
-    _dump_counter: int = 0
+    _dump_counter: int = field(default=0, init=False)
 
     def __post_init__(self):
         if self.timeout is not None and not 0 <= self.timeout < math.inf:
@@ -134,7 +134,7 @@ def _terms_of(obl):
     """The terms asserted for this obligation, in assertion order."""
     if obl.kind == "feasibility":
         return list(obl.hypotheses) + [obl.goal]
-    # entailment / simplification: hypotheses AND NOT goal; unsat => entailed
+    # entailment: hypotheses AND NOT goal; unsat => entailed
     return list(obl.hypotheses) + [bir.unop("not", obl.goal)]
 
 

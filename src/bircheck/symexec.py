@@ -12,9 +12,12 @@ The engine applies, under a worklist driver, the rule repertoire:
 block stepping (blocks are assignments ending in a jump or a conditional
 jump, as the lifter builds them) with case analysis on conditional and
 computed jumps, solver-backed pruning of infeasible states, one bottom-up
-simplification pass with load-over-store resolution, abbreviation of
-expressions above a node-count threshold, symbol renaming, and
-strengthening/weakening of path conditions.
+simplification pass, and abbreviation of expressions above a node-count
+threshold.  The solver is asked only what decides control flow: which
+states are feasible and where a computed jump may go.  Simplification is a
+pure rewrite; it resolves a load over a store chain syntactically, where the
+two addresses are the same base plus constant offsets, and leaves every
+other aliasing question to the solver inside the obligation that needs it.
 """
 
 from __future__ import annotations
@@ -49,10 +52,6 @@ class ForbiddenLabelReached(EngineError):
 class IndirectTargetUnbounded(EngineError):
     def __init__(self, msg):
         super().__init__(msg)
-
-
-class WeakenNotEntailed(EngineError):
-    pass
 
 
 class SymbolGen:
@@ -169,13 +168,13 @@ def _split_base(e):
 
 class Simplifier:
     """Fixed rewrite rules applied in one bottom-up pass; each rule returns
-    a node the rules leave alone, so one pass reaches the fixed point.  The
-    solver-backed rules fire only on load-over-store address comparisons."""
+    a node the rules leave alone, so one pass reaches the fixed point.  A
+    load skips or reads a store only when both addresses are the same base
+    plus constant offsets (load-over-store is syntactic); `abbrevs` lets the
+    walk look through abbreviation definitions."""
 
-    def __init__(self, path=None, abbrevs=(), solver: SolverConfig | None = None):
-        self.path = path
+    def __init__(self, abbrevs=()):
         self.abbrevs = dict(abbrevs)
-        self.solver = solver
 
     def simplify(self, e):
         return bir.fold(e, self._rule)
@@ -319,54 +318,23 @@ class Simplifier:
             sa, sv = node.addr, node.value
             sbytes = sv.ty.width // 8
             ba, oa = _split_base(sa)
-            rel = None  # "same" | "contains" | "disjoint" | None
             if ba is bb:
                 delta = (ob - oa) & bir.mask(64)
                 if delta == 0 and sbytes == nbytes:
-                    rel = "same"
-                elif delta < sbytes and delta + nbytes <= sbytes:
-                    rel = "contains"
-                elif delta >= sbytes and ((oa - ob) & bir.mask(64)) >= nbytes:
-                    rel = "disjoint"
-            elif self.solver is not None:
-                rel = self._solver_relation(sa, addr, sbytes, nbytes)
-            if rel == "same":
-                return sv
-            if rel == "contains":
-                delta = (ob - oa) & bir.mask(64)
-                v = sv
-                if delta:
-                    v = self._rule_binop("lshr", v, const(sv.ty.width, 8 * delta))
-                return self._rule_cast("low", width, v)
-            if rel == "disjoint":
-                node = node.mem
-                if not crossed:
-                    anchor = node
-                continue
-            # unresolved aliasing: keep the load over the remaining chain
+                    return sv
+                if delta < sbytes and delta + nbytes <= sbytes:  # contained
+                    v = sv
+                    if delta:
+                        v = self._rule_binop("lshr", v, const(sv.ty.width, 8 * delta))
+                    return self._rule_cast("low", width, v)
+                if delta >= sbytes and ((oa - ob) & bir.mask(64)) >= nbytes:
+                    node = node.mem  # disjoint: skip the store
+                    if not crossed:
+                        anchor = node
+                    continue
+            # aliasing not decided syntactically: keep the load over the
+            # remaining chain for the solver
             return load(node if not crossed else anchor, addr, width)
-
-    def _solver_relation(self, store_addr, load_addr, sbytes, nbytes):
-        """Ask the solver whether the accesses are provably equal or provably
-        disjoint under the path condition; None when neither is provable."""
-        if self.path is None or self.solver is None:
-            return None
-        defs = tuple(self.abbrevs.items())
-        same = binpred("eq", store_addr, load_addr)
-        v = check(Obligation("simplification", (self.path,), same,
-                             origin="load-over-store=", defs=defs), self.solver)
-        if v.is_unsat and sbytes == nbytes:
-            return "same"
-        dis = binop("and",
-                    binpred("ule", const(64, nbytes),
-                            binop("minus", store_addr, load_addr)),
-                    binpred("ule", const(64, sbytes),
-                            binop("minus", load_addr, store_addr)))
-        v = check(Obligation("simplification", (self.path,), dis,
-                             origin="load-over-store#", defs=defs), self.solver)
-        if v.is_unsat:
-            return "disjoint"
-        return None
 
     def _rule_store(self, mem, addr, value):
         if isinstance(mem, Store) and mem.addr is addr and \
@@ -375,14 +343,15 @@ class Simplifier:
         return store(mem, addr, value)
 
 
-def simplify_exp(e, path=None, abbrevs=(), solver=None):
-    return Simplifier(path, abbrevs, solver).simplify(e)
+def simplify_exp(e, abbrevs=()):
+    return Simplifier(abbrevs).simplify(e)
 
 
-def simplify(sbar: SymbolicState, solver: SolverConfig | None = None) -> SymbolicState:
+def simplify(sbar: SymbolicState) -> SymbolicState:
     """Rewrite all state expressions; meaning is preserved for every
-    interpretation satisfying the path condition."""
-    sim = Simplifier(sbar.path, sbar.abbrevs, solver)
+    interpretation that gives each abbreviation symbol its definition's
+    value."""
+    sim = Simplifier(sbar.abbrevs)
     new_env = {v: sim.simplify(e) for v, e in sbar.env.items()}
     new_path = sim.simplify(sbar.path)
     return sbar.with_(path=new_path, env=new_env)
@@ -429,56 +398,17 @@ def expand_abbrevs(sbar: SymbolicState) -> SymbolicState:
 
 
 # ---------------------------------------------------------------------------
-# Renaming / strengthening / weakening
-
-def rename_symbols(sbar: SymbolicState, mapping: dict) -> SymbolicState:
-    """Apply a bijective renaming (old name -> new name) across the state."""
-    if len(set(mapping.values())) != len(mapping):
-        raise EngineError("symbol renaming must be a bijection")
-    syms = {}
-    bir.collect_syms(sbar.path, syms)
-    for e in sbar.env.values():
-        bir.collect_syms(e, syms)
-    for s, d in sbar.abbrevs:
-        syms.setdefault(s.name, s)
-        bir.collect_syms(d, syms)
-    sym_map = {}
-    for old, new in mapping.items():
-        if old in syms:
-            sym_map[old] = sym(new, syms[old].ty)
-    env = {v: bir.subst(e, sym_map=sym_map) for v, e in sbar.env.items()}
-    path = bir.subst(sbar.path, sym_map=sym_map)
-    abbrevs = tuple((bir.subst(s, sym_map=sym_map), bir.subst(d, sym_map=sym_map))
-                    for s, d in sbar.abbrevs)
-    return sbar.with_(env=env, path=path, abbrevs=abbrevs)
-
-
-def strengthen_initial(sbar: SymbolicState, extra) -> SymbolicState:
-    """Conjoin an extra constraint to the initial path condition (restricts
-    the described language of initial states)."""
-    if extra.ty is not bir.Imm1:
-        raise bir.TypeMismatch("strengthening constraint must be imm1")
-    return sbar.with_(path=binop("and", sbar.path, extra))
-
-
-def weaken_leaf(leaf: SymbolicState, weaker, solver: SolverConfig) -> SymbolicState:
-    """Replace a leaf's path condition by a solver-proved weaker one."""
-    v = check(Obligation("entailment", (leaf.path,), weaker, origin="weaken",
-                         defs=leaf.abbrevs), solver)
-    if not v.is_unsat:
-        raise WeakenNotEntailed(f"solver verdict {v.status}")
-    return leaf.with_(path=weaker)
-
-
-# ---------------------------------------------------------------------------
 # Stepping
 
 def _subst_env(e, env):
     return bir.subst(e, var_map=env)
 
 
-def step_block(program, sbar: SymbolicState, solver: SolverConfig | None = None,
-               max_targets: int = 16) -> list:
+# most feasible targets a computed jump may have before execution gives up
+MAX_INDIRECT_TARGETS = 16
+
+
+def step_block(program, sbar: SymbolicState, solver: SolverConfig | None = None) -> list:
     """Symbolically execute the block at sbar.at.  Conditional jumps split the
     state; computed jumps are resolved by case analysis over solver-enumerated
     feasible constant targets."""
@@ -492,7 +422,7 @@ def step_block(program, sbar: SymbolicState, solver: SolverConfig | None = None,
     end = block.end
 
     if isinstance(end, bir.Jmp):
-        return _goto(base, end.target, solver, max_targets)
+        return _goto(base, end.target, solver)
     cond = simplify_exp(_subst_env(end.cond, env))
     if isinstance(cond, Const):
         return [base.with_(at=end.target_true if cond.val == 1 else end.target_false)]
@@ -501,7 +431,7 @@ def step_block(program, sbar: SymbolicState, solver: SolverConfig | None = None,
                        at=end.target_false)]
 
 
-def _goto(state, target, solver, max_targets):
+def _goto(state, target, solver):
     if not isinstance(target, bir.BirExp):
         return [state.with_(at=target)]
     t_exp = simplify_exp(_subst_env(target, state.env))
@@ -512,7 +442,7 @@ def _goto(state, target, solver, max_targets):
     found = []
     out = []
     defs = state.abbrevs
-    while len(found) <= max_targets:
+    while len(found) <= MAX_INDIRECT_TARGETS:
         hyps = [state.path] + [binpred("ne", t_exp, const(64, c)) for c in found]
         v = check(Obligation("feasibility", tuple(hyps), bir.true_exp,
                              origin=f"indirect@0x{state.at:x}", defs=defs), solver)
@@ -532,7 +462,8 @@ def _goto(state, target, solver, max_targets):
                                           binpred("eq", t_exp, const(64, c))),
                                at=c))
     raise IndirectTargetUnbounded(
-        f"computed jump at 0x{state.at:x} has more than {max_targets} feasible targets")
+        f"computed jump at 0x{state.at:x} has more than {MAX_INDIRECT_TARGETS} "
+        "feasible targets")
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +520,7 @@ def execute(program, entry, endpoints, forbidden, precond,
         children = step_block(program, state, solver)
         if len(children) > 1:
             children = prune_infeasible(children, solver)
-        children = [simplify(c, solver) for c in children]
+        children = [simplify(c) for c in children]
         children = [abbreviate(c, gen, threshold=config.abbrev_threshold)
                     for c in children]
         if len(stack) + len(children) + len(leaves) > config.max_states:

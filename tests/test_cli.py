@@ -5,7 +5,7 @@ import pytest
 
 from bircheck import cli
 from bircheck.cli import main
-from bircheck.corpus import fixture
+from bircheck.corpus import asm, fixture
 from bircheck.smt import SolverConfig
 from bircheck.symexec import EngineConfig
 
@@ -220,6 +220,20 @@ def test_post_at_non_endpoint_exits_2(incr_files, tmp_path, capsys):
                     .replace("(pre_x10 + 1)", "(pre_x10 + 2)"))
     assert main(["verify", d, str(typo)]) == 2
     assert "postcondition at 0x1048d is not an endpoint" in capsys.readouterr().err
+
+
+def test_refutation_leaving_the_slice_replays_and_exits_1(tmp_path, capsys):
+    # the taken branch leaves the slice: the refuting leaf is a non-endpoint,
+    # and its replay stops there instead of crashing
+    d, c = tmp_path / "br.dis", tmp_path / "br.ctr"
+    d.write_text(asm.listing("br", 0x10000,
+                             [asm.beq(10, 11, 0x100), asm.addi(10, 10, 1), asm.nop()]))
+    c.write_text("program br\nentry 0x10000\nendpoints 0x10008\npre:\npost 0x10008:\n")
+    assert main(["verify", str(d), str(c)]) == 1
+    out, err = capsys.readouterr()
+    assert "leaf at non-endpoint 0x10100" in out
+    assert "replay: stops at 0x10100, post holds: False" in out
+    assert "error:" not in err
 
 
 @pytest.mark.parametrize("threshold", [None, "100000"])

@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from bircheck import bir, contracts, disasm, isa, lifter
+from bircheck import bir, contracts, disasm, isa, lifter, symexec
 from bircheck.bir import binop, binpred, const, den, load, sym
 from bircheck.contracts import (ContractError, RBin, RCmp, RConst,
                                 RGpr, RMemLoad, RParam, RiscvContract,
                                 backlift, parse_contract, print_contract,
                                 replay_counterexample, sample_prestate, to_bir,
                                 translate, translation_check, verify)
-from bircheck.corpus import fixture, fixture_config
+from bircheck.corpus import asm, fixture, fixture_config
 from bircheck.lifter import MEM8, xvar
 
 from conftest import chain_program, load_fixture
@@ -328,3 +328,73 @@ def test_verified_verdicts_concretely_corroborated(solver):
             final, _ = isa.run(m, sl, fuel=100_000)
             assert final.pc in rc.endpoints, name
             assert contracts.eval_pred(rc.post[final.pc], final, params), name
+
+
+def _count_checks(monkeypatch):
+    """A list of the solver checks made from symexec and contracts from now
+    on, one entry per check, wrapped as perfbench's tracer wraps them."""
+    made = []
+
+    def counting(fn, obls_of):
+        def wrapped(arg, *a, **kw):
+            made.extend(obls_of(arg))
+            return fn(arg, *a, **kw)
+        return wrapped
+
+    for mod in (symexec, contracts):
+        monkeypatch.setattr(mod, "check", counting(mod.check, lambda o: [o]))
+    monkeypatch.setattr(symexec, "check_many", counting(symexec.check_many, list))
+    return made
+
+
+@pytest.mark.parametrize("name", ["incr", "incr4", "mod2", "swap", "chacha_qr",
+                                  "trap_entry_mini"])
+def test_report_lists_every_solver_check(name, solver, monkeypatch):
+    sl, prog, lm, rc = load_fixture(name)
+    made = _count_checks(monkeypatch)
+    res = verify(to_bir(rc, prog), fixture_config(name), solver)
+    assert res.verdict == "verified"
+    assert len(made) == len(res.obligations)
+
+
+def _save_restore(slots, pre_frame="gpr[5]", post_regs=None):
+    """(slice, contract) for a program that stores x10.. to 8-byte slots at
+    x5 and loads them back into x18.. from the same slots at x6; the
+    precondition ties x6 to `pre_frame`.  `post_regs[i]` names the parameter
+    gpr[18 + i] must equal at the end (default: slot i's saved value)."""
+    base = 0x20000
+    instrs = ([asm.sd(10 + i, 8 * i, 5) for i in range(slots)] +
+              [asm.ld(18 + i, 8 * i, 6) for i in range(slots)] + [asm.ret()])
+    end = base + 4 * 2 * slots
+    params = [f"p{i}" for i in range(slots)]
+    post_regs = post_regs or params
+    text = (f"program save_restore_{slots}\nentry 0x{base:x}\nendpoints 0x{end:x}\n"
+            f"params {' '.join(params)}\npre:\n  gpr[6] == {pre_frame}\n" +
+            "".join(f"  gpr[{10 + i}] == p{i}\n" for i in range(slots)) +
+            f"post 0x{end:x}:\n" +
+            "".join(f"  gpr[{18 + i}] == {p}\n" for i, p in enumerate(post_regs)))
+    rc = parse_contract(text)
+    sl = disasm.make_slice(disasm.parse_objdump(asm.listing("sr", base, instrs)),
+                           rc.entry, rc.endpoints)
+    return sl, rc
+
+
+def test_second_base_register_save_restore_is_one_check(solver, monkeypatch):
+    # the loads go through x6, the stores through x5: the simplifier cannot
+    # match them, so the entailment decides the aliasing under x5 == x6
+    sl, rc = _save_restore(8)
+    made = _count_checks(monkeypatch)
+    res = verify(to_bir(rc, lifter.lift_slice(sl)[0]), solver=solver)
+    assert res.verdict == "verified", res.reason
+    assert len(made) == len(res.obligations) == 1
+
+
+@pytest.mark.parametrize("mutant", [
+    {"post_regs": ["p1", "p0"] + [f"p{i}" for i in range(2, 8)]},  # wrong post
+    {"pre_frame": "gpr[5] + 4"},                                    # overlapping frame
+])
+def test_second_base_register_mutants_refuted_and_replay(solver, mutant):
+    sl, rc = _save_restore(8, **mutant)
+    res = verify(to_bir(rc, lifter.lift_slice(sl)[0]), solver=solver)
+    assert res.verdict == "refuted"
+    assert replay_counterexample(rc, sl, res.counterexample) == (res.endpoint, False)

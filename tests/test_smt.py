@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import os
 import random
@@ -12,6 +13,7 @@ from bircheck import bir
 from bircheck.bir import binop, binpred, cast, const, load, store, sym
 from bircheck.smt import (Obligation, SolverConfig, check, encode,
                           model_check_stats)
+from bircheck.smt import backend
 from bircheck.smt.minismt import run_script
 
 S = sym("s_x10", bir.Imm64)
@@ -85,6 +87,17 @@ def test_timeout_zero_is_unknown():
 def test_solver_config_validates(kw):
     with pytest.raises(ValueError):
         SolverConfig(**kw)
+
+
+def test_solver_config_fields_are_the_settable_ones():
+    assert [f.name for f in dataclasses.fields(SolverConfig) if f.init] == \
+        ["argv", "timeout", "dump_dir", "pool"]
+
+
+def test_obligation_kinds_are_feasibility_and_entailment():
+    assert backend.OBLIGATION_KINDS == ("feasibility", "entailment")
+    with pytest.raises(ValueError):
+        Obligation("simplification", (), bir.true_exp)
 
 
 def test_default_solver_needs_no_pythonpath(tmp_path):
