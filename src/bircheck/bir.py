@@ -527,7 +527,7 @@ def eval_exp(exp, env, interp=None):
 
     Both arms of an ``ite`` are evaluated, so every variable and symbol of
     `exp` must be bound, taken or not; all callers pass complete
-    environments (model re-checks, `extend_interp`, `symexec.matches`,
+    environments (model re-checks, computed-jump targets, `symexec.matches`,
     `exec_block` over `lifter.machine_to_env`, `translation_check`)."""
 
     def rule(e, kv):
@@ -581,15 +581,6 @@ def eval_exp(exp, env, interp=None):
         raise BirError(f"cannot evaluate {e!r}")
 
     return fold(exp, rule)
-
-
-def extend_interp(interp, defs):
-    """`interp` extended over abbreviation definitions ((Sym, exp), ...),
-    evaluated in order, so a definition may use the symbols before it."""
-    out = dict(interp)
-    for s, d in defs:
-        out[s.name] = eval_exp(d, {}, out)
-    return out
 
 
 def _binop_val(op, a, b, w):
@@ -714,6 +705,17 @@ def subst(exp, var_map=None, sym_map=None):
         return e
 
     return fold(exp, rule)
+
+
+def inline_defs(exps, defs):
+    """`exps` with abbreviation definitions ((Sym, exp), ...) substituted for
+    their symbols; a definition may use the symbols before it."""
+    if not defs:
+        return list(exps)
+    sym_map = {}
+    for s, d in defs:
+        sym_map[s.name] = subst(d, sym_map=sym_map)
+    return [subst(e, sym_map=sym_map) for e in exps]
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ Contract file grammar (line oriented, '#' comments)::
 
 from __future__ import annotations
 
+import math
 import random
 import re
 import time
@@ -413,7 +414,7 @@ def parse_contract(text: str) -> RiscvContract:
             section = None
         elif head in ("param", "params"):
             for p in rest.split():
-                if p.startswith("s_") or p.startswith("ab"):
+                if p.startswith("s_") or re.fullmatch(r"ab\d+", p):
                     raise ContractError(f"{where}: parameter name {p!r} collides "
                                         f"with engine symbol namespaces")
                 params.append(p)
@@ -446,6 +447,12 @@ _REXP_OPS = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|",
 
 
 def print_rexp(e) -> str:
+    """Text that the contract parser reads back as `e`: an operand is
+    parenthesised only where precedence, or left-associativity on the
+    right, would regroup it."""
+    def prec(e):
+        return _ExprParser.PREC[_REXP_OPS[e.op]] if isinstance(e, RBin) else math.inf
+
     def rule(e, kv):
         if isinstance(e, RConst):
             return str(e.val) if e.val < 1024 else f"0x{e.val:x}"
@@ -459,7 +466,12 @@ def print_rexp(e) -> str:
             return f"mem_load_dword({kv[0]})"
         if isinstance(e, RUn):
             return f"sext32({kv[0]})"
-        return f"({kv[0]} {_REXP_OPS[e.op]} {kv[1]})"
+        a, b = kv
+        if prec(e.a) < prec(e):
+            a = f"({a})"
+        if prec(e.b) <= prec(e):
+            b = f"({b})"
+        return f"{a} {_REXP_OPS[e.op]} {b}"
 
     return bir.fold(e, rule)
 
@@ -535,10 +547,30 @@ def verify(bc: BirContract, config: symexec.EngineConfig | None = None,
     solver = solver or SolverConfig()
     t_start = time.perf_counter()
     log = []
-    try:
+    t_solver = 0.0
+
+    def discharge(state, entailment):
+        """Check, time and log a leaf: post entailment, else path feasibility."""
+        nonlocal t_solver
+        if entailment:
+            goal = bir.subst(bc.post[state.at], var_map=state.env)
+            goal = symexec.simplify_exp(goal, abbrevs=state.abbrevs)
+            obl = Obligation("entailment", (state.path,), goal,
+                             origin=f"post@0x{state.at:x}", defs=state.abbrevs)
+        else:
+            obl = Obligation("feasibility", (), state.path,
+                             origin=f"leaf@0x{state.at:x}", defs=state.abbrevs)
         t0 = time.perf_counter()
+        v = check(obl, solver)
+        dt = time.perf_counter() - t0
+        t_solver += dt
+        log.append({"origin": obl.origin, "kind": obl.kind, "status": v.status,
+                    "seconds": round(dt, 6)})
+        return v
+
+    t0 = time.perf_counter()
+    try:
         structure = execute(bc, config, solver)
-        t_symex = time.perf_counter() - t0
     except symexec.BudgetExhausted as e:
         return VerificationResult("unknown", reason=f"budget exhausted: {e}",
                                   times={"total": time.perf_counter() - t_start})
@@ -546,64 +578,38 @@ def verify(bc: BirContract, config: symexec.EngineConfig | None = None,
         return VerificationResult("unknown", reason=str(e),
                                   times={"total": time.perf_counter() - t_start})
     except symexec.ForbiddenLabelReached as e:
-        cex, status = _model_of_state(e.state, solver, log)
-        verdict = "refuted" if status == "sat" else "unknown"
-        return VerificationResult(verdict, endpoint=e.label, counterexample=cex,
-                                  reason="forbidden label reached",
-                                  obligations=log,
-                                  times={"total": time.perf_counter() - t_start})
+        t_symex = time.perf_counter() - t0
+        v = discharge(e.state, entailment=False)
+        return VerificationResult("refuted" if v.is_sat else "unknown",
+                                  endpoint=e.label, counterexample=v.model,
+                                  reason="forbidden label reached", obligations=log,
+                                  times={"total": time.perf_counter() - t_start,
+                                         "symex": t_symex, "solver": t_solver})
+    t_symex = time.perf_counter() - t0
 
     result = VerificationResult("verified", leaf_count=len(structure.leaves),
                                 structure=structure, obligations=log)
-    t_solver = 0.0
     unknown_reason = ""
     for leaf in structure.leaves:
-        if leaf.at not in bc.endpoints:
-            cex, status = _model_of_state(leaf, solver, log)
-            if status == "unsat":
-                continue  # kept pessimistically by pruning, not a real path
-            if status == "sat":
-                result.verdict = "refuted"
-                result.endpoint = leaf.at
-                result.counterexample = cex
-                result.reason = f"leaf at non-endpoint 0x{leaf.at:x}"
-                break
-            unknown_reason = f"feasibility unknown at 0x{leaf.at:x}"
-            continue
-        goal = bir.subst(bc.post[leaf.at], var_map=leaf.env)
-        goal = symexec.simplify_exp(goal, abbrevs=leaf.abbrevs)
-        obl = Obligation("entailment", (leaf.path,), goal,
-                         origin=f"post@0x{leaf.at:x}", defs=leaf.abbrevs)
-        t0 = time.perf_counter()
-        v = check(obl, solver)
-        dt = time.perf_counter() - t0
-        t_solver += dt
-        log.append({"origin": obl.origin, "kind": obl.kind, "status": v.status,
-                    "seconds": round(dt, 6)})
+        at_endpoint = leaf.at in bc.endpoints
+        v = discharge(leaf, entailment=at_endpoint)
         if v.is_sat:
             result.verdict = "refuted"
             result.endpoint = leaf.at
             result.counterexample = v.model
-            result.reason = f"postcondition violated at 0x{leaf.at:x}"
+            result.reason = (f"postcondition violated at 0x{leaf.at:x}" if at_endpoint
+                             else f"leaf at non-endpoint 0x{leaf.at:x}")
             break
+        # an unsat non-endpoint leaf was kept pessimistically by pruning
         if not v.is_unsat:
-            unknown_reason = f"solver returned {v.status} for post@0x{leaf.at:x}"
+            unknown_reason = (f"solver returned {v.status} for post@0x{leaf.at:x}"
+                              if at_endpoint else f"feasibility unknown at 0x{leaf.at:x}")
     if result.verdict == "verified" and unknown_reason:
         result.verdict = "unknown"
         result.reason = unknown_reason
     result.times = {"total": time.perf_counter() - t_start,
                     "symex": t_symex, "solver": t_solver}
     return result
-
-
-def _model_of_state(state, solver, log):
-    obl = Obligation("feasibility", (), state.path,
-                     origin=f"leaf@0x{state.at:x}", defs=state.abbrevs)
-    t0 = time.perf_counter()
-    v = check(obl, solver)
-    log.append({"origin": obl.origin, "kind": obl.kind, "status": v.status,
-                "seconds": round(time.perf_counter() - t0, 6)})
-    return (v.model, v.status)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ when no external solver is configured; any SMTLIB2 solver supporting QF_ABV
 (e.g. z3) works via `SolverConfig(argv=["z3", "-in"])` or the BIRCHECK_SOLVER
 environment variable.
 
+Abbreviation definitions stay in the engine: `_terms_of` closes an obligation
+over the definitions it reaches, so scripts and models name free symbols only.
+
 Every sat model is re-evaluated through the concrete expression evaluator
 before being trusted; a model that does not satisfy the asserted terms is a
 hard error.
@@ -131,23 +134,19 @@ def _sort_of(ty):
 
 
 def _terms_of(obl):
-    """The terms asserted for this obligation, in assertion order."""
-    if obl.kind == "feasibility":
-        return list(obl.hypotheses) + [obl.goal]
+    """The terms asserted for this obligation, in assertion order, closed
+    over its abbreviation definitions."""
     # entailment: hypotheses AND NOT goal; unsat => entailed
-    return list(obl.hypotheses) + [bir.unop("not", obl.goal)]
+    goal = obl.goal if obl.kind == "feasibility" else bir.unop("not", obl.goal)
+    return bir.inline_defs([*obl.hypotheses, goal], obl.defs)
 
 
-def _declared_syms(obl):
-    """The obligation's free symbols (abbreviation names excluded), by name,
-    in first-use order over the definitions and then the asserted terms."""
+def _declared_syms(terms):
+    """The free symbols of `terms`, by name, in first-use order."""
     syms = {}
-    for _, d in obl.defs:
-        bir.collect_syms(d, syms)
-    for t in _terms_of(obl):
+    for t in terms:
         bir.collect_syms(t, syms)
-    def_names = {s.name for s, _ in obl.defs}
-    return {name: s for name, s in syms.items() if name not in def_names}
+    return syms
 
 
 def encode(obl: Obligation) -> str:
@@ -157,7 +156,7 @@ def encode(obl: Obligation) -> str:
 
     # share interior nodes referenced more than once via define-funs
     refs = {}
-    stack = [d for _, d in obl.defs] + asserted
+    stack = list(asserted)
     while stack:
         e = stack.pop()
         n = refs[id(e)] = refs.get(id(e), 0) + 1
@@ -182,12 +181,8 @@ def encode(obl: Obligation) -> str:
         return text
 
     lines = ["(set-logic QF_ABV)"]
-    for s in _declared_syms(obl).values():
+    for s in _declared_syms(asserted).values():
         lines.append(f"(declare-const {s.name} {_sort_of(s.ty)})")
-
-    for s, d in obl.defs:
-        body = bir.fold(d, rule, rendered)
-        emit.append(f"(define-fun {s.name} () {_sort_of(s.ty)} {body})")
     for t in asserted:
         emit.append(f"(assert (= {bir.fold(t, rule, rendered)} #b1))")
     lines.extend(emit)
@@ -307,11 +302,10 @@ def parse_model(text: str) -> dict:
 # Checking
 
 def _extend_model(obl, model):
-    """Interpretation for all symbols: declared values from the model
-    (defaults for omitted ones) plus abbreviation values by evaluation."""
-    interp = {name: model.get(name, {} if s.ty is bir.Mem else 0)
-              for name, s in _declared_syms(obl).items()}
-    return bir.extend_interp(interp, obl.defs)
+    """Interpretation of the obligation's free symbols: the model's values,
+    with defaults for the ones it omits."""
+    return {name: model.get(name, {} if s.ty is bir.Mem else 0)
+            for name, s in _declared_syms(_terms_of(obl)).items()}
 
 
 def _verify_model(obl, interp):
@@ -365,11 +359,7 @@ def check(obl: Obligation, cfg: SolverConfig | None = None, *,
     except SolverModelUnsound:
         _stats["sat_model_failures"] += 1
         raise
-    # the model names the obligation's free symbols only; abbreviation
-    # values follow from them (`bir.extend_interp`) and are not inputs
-    def_names = {s.name for s, _ in obl.defs}
-    return SolverVerdict("sat", model={name: v for name, v in interp.items()
-                                       if name not in def_names})
+    return SolverVerdict("sat", model=interp)
 
 
 def check_many(obligations, cfg: SolverConfig | None = None):

@@ -105,7 +105,9 @@ class EngineConfig:
 def matches(H, sbar: SymbolicState, concrete_env, at_label) -> bool:
     """H(sbar) = s: path condition true, every mapped variable equal, and the
     control location equal."""
-    Hx = bir.extend_interp(H, sbar.abbrevs)
+    Hx = dict(H)
+    for a, d in sbar.abbrevs:  # in order: a definition uses the ones before it
+        Hx[a.name] = bir.eval_exp(d, {}, Hx)
     if sbar.at != at_label:
         return False
     if bir.eval_exp(sbar.path, {}, Hx) != 1:
@@ -388,13 +390,8 @@ def abbreviate(sbar: SymbolicState, gen: SymbolGen,
 
 def expand_abbrevs(sbar: SymbolicState) -> SymbolicState:
     """Substitute all abbreviation definitions back into the state."""
-    # later definitions may reference earlier symbols: expand in reverse
-    sym_map = {}
-    for s, d in sbar.abbrevs:
-        sym_map[s.name] = bir.subst(d, sym_map=sym_map)
-    env = {v: bir.subst(e, sym_map=sym_map) for v, e in sbar.env.items()}
-    path = bir.subst(sbar.path, sym_map=sym_map)
-    return sbar.with_(env=env, path=path, abbrevs=())
+    *vals, path = bir.inline_defs([*sbar.env.values(), sbar.path], sbar.abbrevs)
+    return sbar.with_(env=dict(zip(sbar.env, vals)), path=path, abbrevs=())
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +439,8 @@ def _goto(state, target, solver):
     found = []
     out = []
     defs = state.abbrevs
+    # the model binds free symbols only, so the target is read back closed
+    t_closed, = bir.inline_defs([t_exp], defs)
     while len(found) <= MAX_INDIRECT_TARGETS:
         hyps = [state.path] + [binpred("ne", t_exp, const(64, c)) for c in found]
         v = check(Obligation("feasibility", tuple(hyps), bir.true_exp,
@@ -452,11 +451,10 @@ def _goto(state, target, solver):
             raise IndirectTargetUnbounded(
                 f"solver could not bound computed jump at 0x{state.at:x}: {v.reason}")
         Hx = dict(v.model)
-        for name, s in bir.collect_syms(t_exp).items():
+        for name, s in bir.collect_syms(t_closed).items():
             # symbols unconstrained by the path may be absent from the model
             Hx.setdefault(name, {} if s.ty is bir.Mem else 0)
-        Hx = bir.extend_interp(Hx, defs)
-        c = bir.eval_exp(t_exp, {}, Hx)
+        c = bir.eval_exp(t_closed, {}, Hx)
         found.append(c)
         out.append(state.with_(path=binop("and", state.path,
                                           binpred("eq", t_exp, const(64, c))),

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -532,16 +533,11 @@ def _ref_encode(obl):
             rendered[id(e)] = text
         return rendered[id(e)]
 
-    for _, d in obl.defs:
-        count(d)
     for t in asserted:
         count(t)
     lines = ["(set-logic QF_ABV)"]
     lines += [f"(declare-const {s.name} {backend._sort_of(s.ty)})"
-              for s in backend._declared_syms(obl).values()]
-    for s, d in obl.defs:
-        body = render(d)
-        emit.append(f"(define-fun {s.name} () {backend._sort_of(s.ty)} {body})")
+              for s in backend._declared_syms(asserted).values()]
     for t in asserted:
         emit.append(f"(assert (= {render(t)} #b1))")
     return "\n".join(lines + emit + ["(check-sat)", "(get-model)"]) + "\n"
@@ -614,6 +610,27 @@ def test_encode_matches_recursive_reference():
         for kind in ("feasibility", "entailment"):
             obl = Obligation(kind, (hyp,), goal, defs=defs)
             assert encode(obl) == _ref_encode(obl)
+
+
+def test_encode_declares_exactly_the_free_symbols_of_the_closed_terms():
+    from bircheck.smt import Obligation, encode
+    a, b = BirVar("a", bir.Imm64), BirVar("b", bir.Imm32)
+    to_syms = {a: sym("s_a", bir.Imm64), b: sym("s_b", bir.Imm32),
+               M: sym("s_M", bir.Mem)}
+    exps = [bir.subst(e, var_map=to_syms) for e in _random_traversal_inputs(120, 39)]
+    ab0, ab1 = sym("ab0", bir.Imm64), sym("ab1", bir.Imm64)
+    for i in range(0, len(exps) - 3, 4):
+        e1, e2, e3, e4 = exps[i:i + 4]
+        defs = ((ab0, binop("plus", e1, e2)), (ab1, binop("xor", ab0, e3)))
+        for reached, goal in ((True, binpred("eq", e4, ab1)),
+                              (False, binpred("eq", e4, e1))):
+            want = {}
+            for e in (e4, e1, e2, e3) if reached else (e4, e1):
+                bir.collect_syms(e, want)
+            text = encode(Obligation("entailment", (), goal, defs=defs))
+            declared = re.findall(r"\(declare-const (\S+) ", text)
+            assert sorted(declared) == sorted(want)
+            assert not re.search(r"\bab\d", text)
 
 
 DEPTH = 5000

@@ -62,7 +62,7 @@ def test_verify_exit_codes(incr_files, tmp_path, capsys):
     assert "verified" in out
 
     mutant = tmp_path / "mutant.ctr"
-    mutant.write_text(open(c).read().replace("(pre_x10 + 1)", "(pre_x10 + 2)"))
+    mutant.write_text(open(c).read().replace("pre_x10 + 1", "pre_x10 + 2"))
     assert main(["verify", d, str(mutant)]) == 1
     out = capsys.readouterr().out
     assert "refuted" in out and "pre_x10" in out and "replay" in out
@@ -217,7 +217,7 @@ def test_post_at_non_endpoint_exits_2(incr_files, tmp_path, capsys):
     d, c = incr_files
     typo = tmp_path / "typo.ctr"
     typo.write_text(open(c).read().replace("post 0x1048c:", "post 0x1048d:")
-                    .replace("(pre_x10 + 1)", "(pre_x10 + 2)"))
+                    .replace("pre_x10 + 1", "pre_x10 + 2"))
     assert main(["verify", d, str(typo)]) == 2
     assert "postcondition at 0x1048d is not an endpoint" in capsys.readouterr().err
 

@@ -1,16 +1,18 @@
 import random
+import re
 
 import pytest
 
 from bircheck import bir, contracts, disasm, isa, lifter, symexec
 from bircheck.bir import binop, binpred, const, den, load, sym
-from bircheck.contracts import (ContractError, RBin, RCmp, RConst,
+from bircheck.contracts import (ContractError, Param, RBin, RCmp, RConst,
                                 RGpr, RMemLoad, RParam, RiscvContract,
                                 backlift, parse_contract, print_contract,
                                 replay_counterexample, sample_prestate, to_bir,
                                 translate, translation_check, verify)
-from bircheck.corpus import asm, fixture, fixture_config
+from bircheck.corpus import asm, fixture, fixture_config, fixture_names
 from bircheck.lifter import MEM8, xvar
+from bircheck.smt import SolverConfig
 
 from conftest import chain_program, load_fixture
 
@@ -398,3 +400,138 @@ def test_second_base_register_mutants_refuted_and_replay(solver, mutant):
     res = verify(to_bir(rc, lifter.lift_slice(sl)[0]), solver=solver)
     assert res.verdict == "refuted"
     assert replay_counterexample(rc, sl, res.counterexample) == (res.endpoint, False)
+
+
+def _left_sum(n):
+    e = RParam("q")
+    for k in range(1, n):
+        e = RBin("add", e, RConst(k))
+    return e
+
+
+def _contract_with_post(atom):
+    return RiscvContract(name="p", entry=0x10000, endpoints=frozenset({0x10004}),
+                         pre=(), post={0x10004: (atom,)}, params=(Param("q"),))
+
+
+def test_printed_200_term_sum_parses_back():
+    rc = _contract_with_post(RCmp("eq", RGpr(10), _left_sum(200)))
+    text = print_contract(rc)
+    assert "(" not in text.splitlines()[-1]
+    assert parse_contract(text) == rc
+
+
+def test_printed_random_expressions_parse_back():
+    rng = random.Random(41)
+    ops = ["add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr"]
+
+    def rand(depth):
+        k = rng.randrange(6 if depth else 3)
+        if k == 0:
+            return RParam("q")
+        if k == 1:
+            return RConst(rng.choice([0, 5, 0x1234]))
+        if k == 2:
+            return RGpr(rng.randrange(32))
+        if k == 3:
+            return RMemLoad(rand(depth - 1))
+        return RBin(rng.choice(ops), rand(depth - 1), rand(depth - 1))
+
+    for _ in range(300):
+        rc = _contract_with_post(RCmp(rng.choice(["eq", "ult", "ule"]), rand(6), rand(6)))
+        assert parse_contract(print_contract(rc)) == rc
+
+
+@pytest.mark.parametrize("name", ["abs", "about", "abc"])
+def test_parameter_names_starting_with_ab_parse(name):
+    rc = parse_contract(f"program p\nentry 0x10000\nendpoints 0x10004\n"
+                        f"params {name}\npre:\n  gpr[10] == {name}\n")
+    assert rc.params == (Param(name),)
+
+
+@pytest.mark.parametrize("name", ["ab7", "s_x10"])
+def test_engine_symbol_names_are_rejected_as_parameters(name):
+    with pytest.raises(ContractError, match="collides with engine symbol"):
+        parse_contract(f"program p\nentry 0x10000\nendpoints 0x10004\nparams {name}\n")
+
+
+def _solver_time_is_obligation_time(res):
+    assert res.obligations
+    assert abs(res.times["solver"] - sum(o["seconds"] for o in res.obligations)) < 1e-5
+
+
+def test_verify_solver_time_counts_non_endpoint_leaves(solver):
+    # the taken branch leaves the slice: its leaf gets a feasibility check
+    listing = asm.listing("br", 0x10000,
+                          [asm.beq(10, 11, 0x100), asm.addi(10, 10, 1), asm.nop()])
+    rc = parse_contract("program br\nentry 0x10000\nendpoints 0x10008\npre:\n"
+                        "post 0x10008:\n")
+    sl = disasm.make_slice(disasm.parse_objdump(listing), rc.entry, rc.endpoints)
+    prog, _ = lifter.lift_slice(sl)
+    res = verify(to_bir(rc, prog), solver=solver)
+    assert res.verdict == "refuted" and res.reason == "leaf at non-endpoint 0x10100"
+    assert [(o["origin"], o["kind"]) for o in res.obligations] == \
+        [("post@0x10008", "entailment"), ("leaf@0x10100", "feasibility")]
+    _solver_time_is_obligation_time(res)
+
+
+def test_verify_solver_time_counts_the_forbidden_state(solver):
+    sl, prog, lm, rc = load_fixture("incr4")
+    bad = RiscvContract(name="incr4", entry=rc.entry, endpoints=rc.endpoints,
+                        pre=rc.pre, post=rc.post, params=rc.params,
+                        forbidden=frozenset({rc.entry + 4}))
+    res = verify(to_bir(bad, prog), solver=solver)
+    assert res.verdict == "refuted" and res.reason == "forbidden label reached"
+    assert [o["kind"] for o in res.obligations] == ["feasibility"]
+    _solver_time_is_obligation_time(res)
+
+
+def test_fixture_dumps_name_no_abbreviations(tmp_path):
+    names = [n for n in fixture_names() if fixture(n)[1] is not None]
+    assert len(names) == 9
+    defs = 0
+    for name in names:
+        sl, prog, lm, rc = load_fixture(name)
+        res = verify(to_bir(rc, prog), fixture_config(name),
+                     SolverConfig(dump_dir=str(tmp_path / name)))
+        if res.structure is not None:
+            defs += sum(len(leaf.abbrevs) for leaf in res.structure.leaves)
+    assert defs > 0  # the engine did abbreviate
+    dumps = list(tmp_path.glob("*/*.smt2"))
+    assert dumps
+    for f in dumps:
+        assert not re.search(r"\bab\d", f.read_text()), f.name
+
+
+def test_256_store_program_entailment_stays_small(tmp_path):
+    # store-scale shape: 256 stores to slots of one base register, then 256
+    # loads of shuffled slots, each copied to a fresh slot
+    n, base, tmp, srcs = 256, 11, 5, (12, 13, 14, 15, 16, 17)
+    rng = random.Random(43)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    src = [rng.choice(srcs) for _ in range(n)]
+
+    def off(i):
+        return -2048 + 8 * i
+
+    instrs = [asm.sd(src[i], off(i), base) for i in range(n)]
+    for j in range(n):
+        instrs += [asm.ld(tmp, off(perm[j]), base), asm.sd(tmp, off(n + j), base)]
+    instrs.append(asm.ret())
+    end = 0x20000 + 4 * (len(instrs) - 1)
+    pre = [f"gpr[{base}] == b"] + [f"gpr[{r}] == v{r}" for r in srcs]
+    post = [f"mem_load_dword(gpr[{base}] + {off(n + j)}) == v{src[perm[j]]}"
+            for j in range(n)]
+    text = (f"program store_scale\nentry 0x20000\nendpoints 0x{end:x}\n"
+            f"params b {' '.join(f'v{r}' for r in srcs)}\npre:\n  "
+            + "\n  ".join(pre) + f"\npost 0x{end:x}:\n  " + "\n  ".join(post) + "\n")
+    rc = parse_contract(text)
+    sl = disasm.make_slice(disasm.parse_objdump(asm.listing("store_scale", 0x20000, instrs)),
+                           rc.entry, rc.endpoints)
+    prog, _ = lifter.lift_slice(sl)
+    res = verify(to_bir(rc, prog), solver=SolverConfig(dump_dir=str(tmp_path)))
+    assert res.verdict == "verified", res.reason
+    assert any(leaf.abbrevs for leaf in res.structure.leaves)
+    post_dump, = tmp_path.glob("*_entailment_post_*.smt2")
+    assert post_dump.stat().st_size <= 8 * 1024

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -133,11 +134,24 @@ def test_abbreviation_defs_are_inlined(solver):
     goal = binpred("eq", a, binop("plus", S, const(64, 1)))
     v = check(Obligation("entailment", (), goal, defs=defs), solver)
     assert v.is_unsat
-    # the model binds the free symbols only; the definitions extend it
+    # the model binds the free symbols only; a definition's value follows
     v2 = check(Obligation("feasibility", (binpred("eq", a, const(64, 9)),),
                           bir.true_exp, defs=defs), solver)
     assert v2.is_sat and v2.model == {"s_x10": 8}
-    assert bir.extend_interp(v2.model, defs)["ab0"] == 9
+    assert bir.eval_exp(defs[0][1], {}, v2.model) == 9
+
+
+def test_unreached_definitions_are_not_encoded():
+    # ab1 (and q, used only there) is never reached; ab0 is reached once, so
+    # it is written inline rather than named
+    q = sym("q", bir.Imm64)
+    ab0, ab1 = sym("ab0", bir.Imm64), sym("ab1", bir.Imm64)
+    defs = ((ab0, binop("plus", S, const(64, 1))), (ab1, binop("mult", ab0, q)))
+    obl = Obligation("entailment", (), binpred("ult", ab0, P), defs=defs)
+    text = encode(obl)
+    assert "define-fun" not in text and "ab0" not in text and "ab1" not in text
+    assert "(bvadd s_x10 (_ bv1 64))" in text
+    assert sorted(re.findall(r"\(declare-const (\S+) ", text)) == ["pre_x10", "s_x10"]
 
 
 def test_encoding_faithfulness_random_ground_exprs(solver):
