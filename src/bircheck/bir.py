@@ -99,12 +99,6 @@ class UnboundSymbol(BirError):
     pass
 
 
-class IndirectTargetUnresolved(BirError):
-    def __init__(self, value):
-        super().__init__(f"computed jump target 0x{value:x} is not a block or exit label")
-        self.value = value
-
-
 # ---------------------------------------------------------------------------
 # Expressions (interned)
 
@@ -495,25 +489,6 @@ def collect_syms(exp, out=None):
 
 
 # ---------------------------------------------------------------------------
-# Well-typedness
-
-def type_of(exp, var_types=None):
-    """Type of `exp`; checks Den occurrences against `var_types` (name -> BirType)
-    and that each name is used at one type throughout."""
-    seen = {} if var_types is None else dict(var_types)
-
-    def rule(e, _):
-        if isinstance(e, Den):
-            prior = seen.get(e.var.name)
-            if prior is not None and prior is not e.var.ty:
-                raise TypeMismatch(f"variable {e.var.name} used at {e.var.ty} and {prior}")
-            seen[e.var.name] = e.var.ty
-
-    fold(exp, rule)
-    return exp.ty
-
-
-# ---------------------------------------------------------------------------
 # Concrete evaluation
 
 def to_signed(val, width):
@@ -629,7 +604,7 @@ def mem_equal(m1, m2):
 
 
 # ---------------------------------------------------------------------------
-# Block / program execution
+# Block execution
 
 def exec_block(program, block, env):
     """Run one block concretely.  Returns (new env, next label).  Computed
@@ -643,39 +618,6 @@ def exec_block(program, block, env):
     if isinstance(e, CJmp):
         return env, (e.target_true if eval_exp(e.cond, env) == 1 else e.target_false)
     return env, (eval_exp(e.target, env) if e.computed else e.target)
-
-
-def run_program(program, env, entry, exits=(), fuel=10_000):
-    """Concrete interpreter driver: execute from `entry` until a label in
-    `exits` or fuel runs out.  Returns (env, stop_label, steps)."""
-    exits = set(exits)
-    at = entry
-    steps = 0
-    while True:
-        if at in exits:
-            return env, at, steps
-        blk = program.block(at)
-        if blk is None:
-            raise IndirectTargetUnresolved(at)
-        if steps >= fuel:
-            raise BirError(f"fuel exhausted at 0x{at:x} after {steps} blocks")
-        env, at = exec_block(program, blk, env)
-        steps += 1
-
-
-def validate_program(program, exits=()):
-    """Check the label discipline: every constant jump target resolves to a
-    block label or a declared exit label."""
-    ok = set(program.by_label) | set(exits)
-    for b in program.blocks:
-        e = b.end
-        if isinstance(e, CJmp):
-            targets = (e.target_true, e.target_false)
-        else:
-            targets = () if e.computed else (e.target,)
-        for t in targets:
-            if t not in ok:
-                raise BirError(f"block 0x{b.label:x} jumps to undeclared label 0x{t:x}")
 
 
 # ---------------------------------------------------------------------------

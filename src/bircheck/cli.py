@@ -103,10 +103,10 @@ def cmd_verify(args):
         print(f"{rc.name}: {res.verdict}")
         if res.reason:
             print(f"  reason: {res.reason}")
-        if res.counterexample:
+        if res.counterexample is not None:
             items = ", ".join(f"{k}=0x{v:x}" if isinstance(v, int) else f"{k}=<mem>"
                               for k, v in sorted(res.counterexample.items()))
-            print(f"  counterexample: {items}")
+            print(f"  counterexample: {items or '{} (no free inputs)'}")
             stop, holds = contracts.replay_counterexample(rc, sl, res.counterexample)
             print(f"  replay: stops at 0x{stop:x}, post holds: {holds}")
         print(f"  leaves: {res.leaf_count}, obligations: {len(res.obligations)}, "

@@ -37,7 +37,7 @@ import math
 import random
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import bir, isa, lifter, symexec
 from .bir import binop, binpred, cast, const, den, load, sym
@@ -49,10 +49,6 @@ class ContractError(Exception):
 
 
 class UntranslatableAtom(ContractError):
-    pass
-
-
-class EvidenceMissing(ContractError):
     pass
 
 
@@ -218,7 +214,6 @@ def pred_params(pred: Predicate):
 @dataclass(frozen=True)
 class Param:
     name: str
-    ty: object = bir.Imm64
 
 
 @dataclass
@@ -632,15 +627,19 @@ def params_from_model(rc: RiscvContract, model) -> dict:
 
 def replay_counterexample(rc: RiscvContract, prog_slice, model, fuel=100_000):
     """Run the ISA interpreter from the counter-model's initial state and
-    report (stop address, post holds?).  A run that leaves the slice stops
-    where it left; no postcondition holds there."""
+    report (stop address, post holds?).  A run stops at the first endpoint or
+    forbidden label it reaches, or where it leaves the slice; no
+    postcondition holds at a forbidden label or outside the slice."""
     m = machine_from_model(model)
     m.pc = rc.entry
     params = params_from_model(rc, model)
+    stops = replace(prog_slice, end_addrs=prog_slice.end_addrs | rc.forbidden)
     try:
-        final, _ = isa.run(m, prog_slice, fuel)
+        final, _ = isa.run(m, stops, fuel)
     except isa.PcOutsideSlice as e:
         return e.pc, False
+    if final.pc in rc.forbidden:
+        return final.pc, False
     post = rc.post.get(final.pc)
     holds = post is not None and eval_pred(post, final, params)
     return final.pc, holds
@@ -729,68 +728,3 @@ def _memloads(c):
     for side in (c.a, c.b):
         bir.fold(side, lambda e, _: out.append(e) if isinstance(e, RMemLoad) else None)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Backlifting
-
-@dataclass
-class RiscvReport:
-    program: str
-    status: str            # "holds (tested)" | "unknown" | "invalid"
-    evidence: list         # {name, passed, detail}
-    cause: str = ""
-
-    def to_json_dict(self):
-        return {"schema": "bircheck-backlift/1", "program": self.program,
-                "status": self.status, "cause": self.cause,
-                "evidence": self.evidence}
-
-
-def backlift(rc: RiscvContract, result: VerificationResult, lm: lifter.LiftMap,
-             sim_reports: dict) -> RiscvReport:
-    """Assemble the ISA-level report: the contract holds (tested) when the IR
-    verdict is verified, every per-instruction simulation report passed, and
-    the predicate translation equivalence checks passed."""
-    evidence = []
-    cause = ""
-
-    ok = result.verdict == "verified"
-    evidence.append({"name": "bir-contract-verdict", "passed": ok,
-                     "detail": result.verdict +
-                               (f": {result.reason}" if result.reason else "")})
-
-    sim_ok = True
-    for addr in sorted(lm.instr_at):
-        rep = sim_reports.get(addr)
-        if rep is None:
-            raise EvidenceMissing(f"no simulation report for instruction at 0x{addr:x}")
-        evidence.append({"name": f"simulation@0x{addr:x}", "passed": rep.passed,
-                         "detail": f"{rep.kind}, {rep.trials} trials"})
-        if not rep.passed:
-            sim_ok = False
-            cause = cause or f"lifting of {rep.kind} at 0x{addr:x} failed simulation"
-
-    trans_ok = True
-    preds = [("pre", rc.pre)] + [(f"post@0x{a:x}", p) for a, p in sorted(rc.post.items())]
-    for label, pred in preds:
-        mism = translation_check(pred, trials=200, seed=0xC0FFEE)
-        evidence.append({"name": f"translation-equivalence:{label}",
-                         "passed": not mism,
-                         "detail": f"{len(mism)} mismatches" if mism else "200 trials"})
-        if mism:
-            trans_ok = False
-            cause = cause or f"translation of {label} differs from ISA evaluation"
-
-    if not sim_ok or not trans_ok:
-        status = "invalid"
-    elif result.verdict == "refuted":
-        status = "invalid"
-        cause = cause or result.reason or "contract refuted"
-    elif result.verdict != "verified":
-        status = "unknown"
-        cause = cause or result.reason
-    else:
-        status = "holds (tested)"
-    return RiscvReport(program=rc.name, status=status, evidence=evidence,
-                       cause=cause)

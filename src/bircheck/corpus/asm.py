@@ -9,6 +9,7 @@ is always the encoding of the Instr, so the text is advisory only.
 from __future__ import annotations
 
 from .. import isa
+from ..disasm import RawInstr, format_instr_line
 from ..isa import Instr
 
 
@@ -28,14 +29,12 @@ def _pseudo(i: Instr, addr: int):
 
 
 def render_line(i: Instr, addr: int, pseudo=True) -> str:
-    word = isa.encode(i)
     p = _pseudo(i, addr) if pseudo else None
     if p:
         mnem, ops = p
     else:
         mnem, ops = i.kind, isa.render_operands(i, addr)
-    tail = f"\t{ops}" if ops else ""
-    return f"   {addr:x}:\t{word:08x}          \t{mnem}{tail}"
+    return format_instr_line(RawInstr(addr, isa.encode(i), mnem, ops, ""))
 
 
 def listing(name: str, base: int, instrs, section=".text", pseudo=True) -> str:

@@ -490,21 +490,3 @@ def render_operands(i: Instr, addr=0) -> str:
         return f"{r(i.rd)},{i.csr},{r(i.rs1)}"
     return f"{r(i.rd)},{r(i.rs1)},{r(i.rs2)}"
 
-
-# Pseudo-instruction mnemonics objdump may print for supported encodings.
-PSEUDO_FOR = {
-    "ret": "jalr", "jr": "jalr", "nop": "addi", "mv": "addi", "li": "addi",
-    "j": "jal", "jal": "jal", "beqz": "beq", "bnez": "bne", "bgez": "bge",
-    "bltz": "blt", "blez": "bge", "bgtz": "blt", "sext.w": "addiw",
-    "seqz": "sltiu", "snez": "sltu", "sltz": "slt", "sgtz": "slt",
-    "not": "xori", "neg": "sub", "negw": "subw", "zext.b": "andi",
-    "csrw": "csrrw", "csrr": "csrrs", "csrs": "csrrs", "csrc": "csrrc",
-}
-
-
-def mnemonic_matches(printed: str, decoded_kind: str) -> bool:
-    """Does an objdump mnemonic (possibly a pseudo-op) agree with decode()?"""
-    printed = printed.strip()
-    if printed == decoded_kind:
-        return True
-    return PSEUDO_FOR.get(printed) == decoded_kind

@@ -407,16 +407,19 @@ def sample_instr(kind: str, rng) -> Instr:
     return Instr(kind, rd=rd, rs1=rs1, rs2=rs2)
 
 
-def simulation_sweep(trials_per_kind: int, seed: int, kinds=isa.ALL_KINDS,
-                     variants_per_kind: int = 4):
-    """check_simulation over every supported instruction kind, with several
-    random operand shapes per kind.  Returns the list of SimReports."""
+SWEEP_VARIANTS = 4
+
+
+def simulation_sweep(trials_per_kind: int, seed: int):
+    """check_simulation over every supported instruction kind, with
+    SWEEP_VARIANTS random operand shapes per kind.  Returns the list of
+    SimReports."""
     rng = random.Random(seed)
     reports = []
     addr = 0x10000
-    for kind in kinds:
-        per_variant = max(1, trials_per_kind // variants_per_kind)
-        for v in range(variants_per_kind):
+    for kind in isa.ALL_KINDS:
+        per_variant = max(1, trials_per_kind // SWEEP_VARIANTS)
+        for _ in range(SWEEP_VARIANTS):
             instr = sample_instr(kind, rng)
             reports.append(check_simulation(instr, addr, per_variant,
                                             rng.getrandbits(32)))

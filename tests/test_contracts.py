@@ -7,7 +7,7 @@ from bircheck import bir, contracts, disasm, isa, lifter, symexec
 from bircheck.bir import binop, binpred, const, den, load, sym
 from bircheck.contracts import (ContractError, Param, RBin, RCmp, RConst,
                                 RGpr, RMemLoad, RParam, RiscvContract,
-                                backlift, parse_contract, print_contract,
+                                parse_contract, print_contract,
                                 replay_counterexample, sample_prestate, to_bir,
                                 translate, translation_check, verify)
 from bircheck.corpus import asm, fixture, fixture_config, fixture_names
@@ -269,51 +269,6 @@ def test_refuted_memory_contract_replays_through_model_bytes(solver):
     # while the true contract holds on the very same state
     _, holds_true = replay_counterexample(rc, sl, res.counterexample)
     assert holds_true
-
-
-def test_backlift_all_evidence_passes(solver):
-    sl, prog, lm, rc = load_fixture("incr")
-    res = verify(to_bir(rc, prog), solver=solver)
-    sims = {addr: lifter.check_simulation(isa.decode(ri.word), addr, 100, 11)
-            for addr, ri in lm.instr_at.items()}
-    rep = backlift(rc, res, lm, sims)
-    assert rep.status == "holds (tested)"
-    assert all(ev["passed"] for ev in rep.evidence)
-    doc = rep.to_json_dict()
-    assert doc["schema"] == "bircheck-backlift/1"
-
-
-def test_backlift_unknown_propagates(solver):
-    sl, prog, lm, rc = load_fixture("loopy")
-    res = verify(to_bir(rc, prog), fixture_config("loopy"), solver)
-    sims = {addr: lifter.check_simulation(isa.decode(ri.word), addr, 50, 1)
-            for addr, ri in lm.instr_at.items()}
-    rep = backlift(rc, res, lm, sims)
-    assert rep.status == "unknown"
-
-
-def test_backlift_invalid_names_failing_instruction(solver):
-    from dataclasses import replace
-
-    sl, prog, lm, rc = load_fixture("incr")
-    res = verify(to_bir(rc, prog), solver=solver)
-
-    def corrupt(i, addr, comment=""):
-        return lifter.lift_instr(replace(i, imm=i.imm + 1), addr, comment)
-
-    sims = {addr: lifter.check_simulation(isa.decode(ri.word), addr, 50, 3,
-                                          lift_fn=corrupt)
-            for addr, ri in lm.instr_at.items()}
-    rep = backlift(rc, res, lm, sims)
-    assert rep.status == "invalid"
-    assert "0x10488" in rep.cause
-
-
-def test_backlift_missing_evidence(solver):
-    sl, prog, lm, rc = load_fixture("incr")
-    res = verify(to_bir(rc, prog), solver=solver)
-    with pytest.raises(contracts.EvidenceMissing):
-        backlift(rc, res, lm, {})
 
 
 def test_verified_verdicts_concretely_corroborated(solver):

@@ -8,6 +8,8 @@ from bircheck.bir import Assign, CJmp, Jmp, binop, const, den
 from bircheck.isa import Instr
 from bircheck.lifter import MEM8, TMP, xvar
 
+from oracles import run_program, validate_program
+
 
 def test_lift_addi_is_exactly_the_increment_block():
     blk = lifter.lift_instr(Instr("addi", rd=10, rs1=10, imm=1), 0x10488)
@@ -121,7 +123,7 @@ def test_label_discipline_on_lifted_corpus():
         prog, lm = lifter.lift_slice(sl)
         labels = set(prog.by_label) | set(lm.exits)
         # constant targets are fall-throughs, in-slice branch targets, or exits
-        bir.validate_program(prog, exits=labels)
+        validate_program(prog, exits=labels)
 
 
 def test_lift_instr_deterministic():
@@ -205,8 +207,8 @@ def test_whole_slice_differential_isa_vs_lifted():
                         s0.mem[(addr + b) & isa.MASK64] = rng.getrandbits(8)
             isa_final, _ = isa.run(s0.copy(), sl, fuel=1000)
             env0 = lifter.machine_to_env(s0)
-            envf, stop, _ = bir.run_program(prog, env0, base, exits={end},
-                                            fuel=1000)
+            envf, stop, _ = run_program(prog, env0, base, exits={end},
+                                        fuel=1000)
             assert stop == isa_final.pc == end
             for r in range(1, 32):
                 assert envf[lifter.xvar(r)] == isa_final.gpr[r], (trial, r)
