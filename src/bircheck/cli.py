@@ -14,7 +14,7 @@ EngineConfig / SolverConfig field defaults, and both classes validate them:
   --unroll N            loop unroll bound (0)
   --max-states N        state budget (4096)
   --max-steps N         step budget (20000)
-  --abbrev-threshold N  node count above which an expression is abbreviated (64)
+  --abbrev-threshold N  abbreviate a word expression or path condition over N nodes (64)
   --pool N              solver subprocess pool size (4)
   --dump-smt DIR        dump every obligation as a .smt2 file (off)
 """
@@ -94,7 +94,7 @@ def cmd_verify(args):
     with open(args.contract) as f:
         rc = contracts.parse_contract(f.read())
     sl = _load_slice(args.disasm, rc.entry, rc.endpoints)
-    prog, lm = lifter.lift_slice(sl)
+    prog, _ = lifter.lift_slice(sl)
     bc = contracts.to_bir(rc, prog)
     res = contracts.verify(bc, engine, solver)
     if args.fmt == "json":

@@ -549,7 +549,7 @@ def verify(bc: BirContract, config: symexec.EngineConfig | None = None,
         nonlocal t_solver
         if entailment:
             goal = bir.subst(bc.post[state.at], var_map=state.env)
-            goal = symexec.simplify_exp(goal, abbrevs=state.abbrevs)
+            goal = symexec.simplify_exp(goal)
             obl = Obligation("entailment", (state.path,), goal,
                              origin=f"post@0x{state.at:x}", defs=state.abbrevs)
         else:

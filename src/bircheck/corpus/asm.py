@@ -34,7 +34,7 @@ def render_line(i: Instr, addr: int, pseudo=True) -> str:
         mnem, ops = p
     else:
         mnem, ops = i.kind, isa.render_operands(i, addr)
-    return format_instr_line(RawInstr(addr, isa.encode(i), mnem, ops, ""))
+    return format_instr_line(RawInstr(addr, isa.encode(i), mnem, ops))
 
 
 def listing(name: str, base: int, instrs, section=".text", pseudo=True) -> str:

@@ -31,10 +31,8 @@ INSTR_COUNTS = {"incr": 2, "incr4": 4, "mod2": 4, "swap": 8, "isqrt": 15,
 _CONFIGS = {"isqrt": {"unroll": 5}}
 
 
-def fixture_names(with_synthetic=True):
-    if with_synthetic:
-        return _NAMES
-    return tuple(n for n in _NAMES if not n.startswith(("store_chain", "loopy")))
+def fixture_names():
+    return _NAMES
 
 
 def _read(name, suffix):

@@ -58,7 +58,6 @@ class RawInstr:
     word: int
     mnemonic: str
     operand_text: str
-    source_line: str
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ def parse_objdump(text: str) -> DisassemblyUnit:
         if instrs and addr != instrs[-1].address + 4:
             raise MalformedLine(line_no, line,
                                 f"address not previous+4 (previous 0x{instrs[-1].address:x})")
-        instrs.append(RawInstr(addr, word, m.group(3), ops, line))
+        instrs.append(RawInstr(addr, word, m.group(3), ops))
 
     return DisassemblyUnit(tuple((n, tuple(i)) for n, i in sections), symbols)
 

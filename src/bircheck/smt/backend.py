@@ -54,7 +54,7 @@ class SolverModelUnsound(SmtError):
 
 OBLIGATION_KINDS = ("feasibility", "entailment")
 
-_stats = {"checks": 0, "sat_models_checked": 0, "sat_model_failures": 0}
+_stats = {"sat_models_checked": 0, "sat_model_failures": 0}
 
 
 def model_check_stats():
@@ -322,7 +322,6 @@ def check(obl: Obligation, cfg: SolverConfig | None = None, *,
     dump directory the script is saved as file number `dump_no` (default:
     the next free number)."""
     cfg = cfg or SolverConfig()
-    _stats["checks"] += 1
     text = encode(obl)
     if cfg.dump_dir:
         os.makedirs(cfg.dump_dir, exist_ok=True)

@@ -12,10 +12,12 @@ The engine applies, under a worklist driver, the rule repertoire:
 block stepping (blocks are assignments ending in a jump or a conditional
 jump, as the lifter builds them) with case analysis on conditional and
 computed jumps, solver-backed pruning of infeasible states, one bottom-up
-simplification pass, and abbreviation of expressions above a node-count
-threshold.  The solver is asked only what decides control flow: which
-states are feasible and where a computed jump may go.  Simplification is a
-pure rewrite; it resolves a load over a store chain syntactically, where the
+simplification pass, and abbreviation of word expressions and the path
+condition above a node-count threshold (memory is never abbreviated).  The
+solver is asked only what decides control flow: which states are feasible
+and where a computed jump may go.  Simplification is a pure rewrite of a
+node, never reading abbreviation definitions, so one run shares one memo of
+its results; it resolves a load over a store chain syntactically, where the
 two addresses are the same base plus constant offsets, and leaves every
 other aliasing question to the solver inside the obligation that needs it.
 """
@@ -26,7 +28,7 @@ import json
 from dataclasses import dataclass, replace
 
 from . import bir
-from .bir import (BinOp, BinPred, Cast, Const, Den, Ite, Load, Store, Sym,
+from .bir import (BinOp, BinPred, Cast, Const, Ite, Load, Store, Sym,
                   UnOp, binop, binpred, cast, const, ite, load, store, sym,
                   unop)
 from .smt import Obligation, SolverConfig, check, check_many
@@ -168,14 +170,11 @@ class Simplifier:
     """Fixed rewrite rules applied in one bottom-up pass; each rule returns
     a node the rules leave alone, so one pass reaches the fixed point.  A
     load skips or reads a store only when both addresses are the same base
-    plus constant offsets (load-over-store is syntactic); `abbrevs` lets the
-    walk look through abbreviation definitions."""
+    plus constant offsets (load-over-store is syntactic).  The rules read
+    nothing but the node, so a node's result is the same in every state."""
 
-    def __init__(self, abbrevs=()):
-        self.abbrevs = dict(abbrevs)
-
-    def simplify(self, e):
-        return bir.fold(e, self._rule)
+    def simplify(self, e, memo=None):
+        return bir.fold(e, self._rule, memo)
 
     def _rule(self, e, kv):
         """One bottom-up rewrite of `e` over its simplified children `kv`."""
@@ -296,43 +295,24 @@ class Simplifier:
     def _rule_load(self, mem, addr, width):
         nbytes = width // 8
         bb, ob = _split_base(addr)
-        node = mem       # walk position (may descend into abbreviation defs)
-        anchor = mem     # node a non-forwarding rewrite is allowed to expose
-        crossed = False  # whether the walk entered an abbreviation definition
-        while True:
-            if isinstance(node, Sym):
-                d = self.abbrevs.get(node)
-                if d is not None:
-                    if not crossed:
-                        anchor = node  # keep the abbreviation opaque
-                        crossed = True
-                    node = d
-                    continue
-            if not isinstance(node, Store):
-                # reached the chain's base
-                if not crossed or isinstance(node, (Den, Sym)):
-                    return load(node, addr, width)
-                return load(anchor, addr, width)
-            sa, sv = node.addr, node.value
+        while isinstance(mem, Store):
+            sa, sv = mem.addr, mem.value
             sbytes = sv.ty.width // 8
             ba, oa = _split_base(sa)
-            if ba is bb:
-                delta = (ob - oa) & bir.mask(64)
-                if delta == 0 and sbytes == nbytes:
-                    return sv
-                if delta < sbytes and delta + nbytes <= sbytes:  # contained
-                    v = sv
-                    if delta:
-                        v = self._rule_binop("lshr", v, const(sv.ty.width, 8 * delta))
-                    return self._rule_cast("low", width, v)
-                if delta >= sbytes and ((oa - ob) & bir.mask(64)) >= nbytes:
-                    node = node.mem  # disjoint: skip the store
-                    if not crossed:
-                        anchor = node
-                    continue
-            # aliasing not decided syntactically: keep the load over the
-            # remaining chain for the solver
-            return load(node if not crossed else anchor, addr, width)
+            if ba is not bb:
+                break  # aliasing not decided syntactically: left to the solver
+            delta = (ob - oa) & bir.mask(64)
+            if delta == 0 and sbytes == nbytes:
+                return sv
+            if delta < sbytes and delta + nbytes <= sbytes:  # contained
+                v = sv
+                if delta:
+                    v = self._rule_binop("lshr", v, const(sv.ty.width, 8 * delta))
+                return self._rule_cast("low", width, v)
+            if delta < sbytes or ((oa - ob) & bir.mask(64)) < nbytes:
+                break  # partial overlap
+            mem = mem.mem  # disjoint: skip the store
+        return load(mem, addr, width)
 
     def _rule_store(self, mem, addr, value):
         if isinstance(mem, Store) and mem.addr is addr and \
@@ -341,17 +321,18 @@ class Simplifier:
         return store(mem, addr, value)
 
 
-def simplify_exp(e, abbrevs=()):
-    return Simplifier(abbrevs).simplify(e)
+_SIMPLIFIER = Simplifier()
 
 
-def simplify(sbar: SymbolicState) -> SymbolicState:
+def simplify_exp(e):
+    return _SIMPLIFIER.simplify(e)
+
+
+def simplify(sbar: SymbolicState, *, memo=None) -> SymbolicState:
     """Rewrite all state expressions; meaning is preserved for every
-    interpretation that gives each abbreviation symbol its definition's
-    value."""
-    sim = Simplifier(sbar.abbrevs)
-    new_env = {v: sim.simplify(e) for v, e in sbar.env.items()}
-    new_path = sim.simplify(sbar.path)
+    interpretation.  `memo` (see `bir.fold`) carries results across calls."""
+    new_env = {v: _SIMPLIFIER.simplify(e, memo) for v, e in sbar.env.items()}
+    new_path = _SIMPLIFIER.simplify(sbar.path, memo)
     return sbar.with_(path=new_path, env=new_env)
 
 
@@ -360,15 +341,17 @@ def simplify(sbar: SymbolicState) -> SymbolicState:
 
 def abbreviate(sbar: SymbolicState, gen: SymbolGen,
                threshold: int = 64) -> SymbolicState:
-    """Introduce fresh definition symbols for the expressions above the
-    node-count threshold; expanding the definitions restores the original
-    state."""
+    """Introduce fresh definition symbols for the word expressions and the
+    path condition above the node-count threshold; expanding the definitions
+    restores the original state.  Memory is never abbreviated: a store chain
+    grows linearly, and the simplifier reads it without definitions."""
     abbrevs = list(sbar.abbrevs)
     env = dict(sbar.env)
     changed = False
     for v in env:
         e = env[v]
-        if not isinstance(e, Sym) and bir.node_count(e) > threshold:
+        if v.ty is not bir.Mem and not isinstance(e, Sym) and \
+                bir.node_count(e) > threshold:
             a = gen.fresh_abbrev(e.ty)
             abbrevs.append((a, e))
             env[v] = a
@@ -482,6 +465,10 @@ def execute(program, entry, endpoints, forbidden, precond,
     endpoints = frozenset(endpoints)
     forbidden = frozenset(forbidden)
     initial, gen = init_state(program, entry, precond, extra_vars)
+    # simplifier results of this run, keyed by id(node): sound because the
+    # rules read only the node and bir._interned keeps every node (so every
+    # id) alive; never shared across runs
+    memo = {}
     labels = {entry}
     leaves = []
     # stack entries: (state, per-path visit counts)
@@ -506,7 +493,7 @@ def execute(program, entry, endpoints, forbidden, precond,
         children = step_block(program, state, solver)
         if len(children) > 1:
             children = prune_infeasible(children, solver)
-        children = [simplify(c) for c in children]
+        children = [simplify(c, memo=memo) for c in children]
         children = [abbreviate(c, gen, threshold=config.abbrev_threshold)
                     for c in children]
         if len(stack) + len(children) + len(leaves) > config.max_states:

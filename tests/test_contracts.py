@@ -487,6 +487,28 @@ def test_256_store_program_entailment_stays_small(tmp_path):
     prog, _ = lifter.lift_slice(sl)
     res = verify(to_bir(rc, prog), solver=SolverConfig(dump_dir=str(tmp_path)))
     assert res.verdict == "verified", res.reason
-    assert any(leaf.abbrevs for leaf in res.structure.leaves)
+    assert not any(a.ty is bir.Mem for leaf in res.structure.leaves
+                   for a, _ in leaf.abbrevs)  # memory is never abbreviated
     post_dump, = tmp_path.glob("*_entailment_post_*.smt2")
     assert post_dump.stat().st_size <= 8 * 1024
+
+
+def test_load_under_40_stores_reads_the_stored_value():
+    # 40 stores to slots of one base, then a load of the first slot: the
+    # simplifier reads the value down the store chain, with memory never
+    # abbreviated however long the chain grows
+    n, base, tmp, val = 40, 11, 5, 12
+    instrs = [asm.sd(val if i == 0 else 13, 8 * i, base) for i in range(n)]
+    instrs += [asm.ld(tmp, 0, base), asm.ret()]
+    end = 0x20000 + 4 * (len(instrs) - 1)
+    rc = parse_contract(f"program first_slot\nentry 0x20000\nendpoints 0x{end:x}\n"
+                        f"params v\npre:\n  gpr[{val}] == v\n"
+                        f"post 0x{end:x}:\n  gpr[{tmp}] == v\n")
+    sl = disasm.make_slice(disasm.parse_objdump(asm.listing("first_slot", 0x20000, instrs)),
+                           rc.entry, rc.endpoints)
+    prog, _ = lifter.lift_slice(sl)
+    res = verify(to_bir(rc, prog))
+    assert res.verdict == "verified", res.reason
+    leaf, = res.structure.leaves
+    assert leaf.env[xvar(tmp)] is res.structure.initial.env[xvar(val)]
+    assert not any(a.ty is bir.Mem for a, _ in leaf.abbrevs)

@@ -180,7 +180,7 @@ def test_fixture_words_redecode_to_printed_mnemonics():
         unit = disasm.parse_objdump(dis)
         for ri in unit.all_instrs():
             kind = isa.decode(ri.word).kind
-            assert mnemonic_matches(ri.mnemonic, kind), (name, ri.source_line)
+            assert mnemonic_matches(ri.mnemonic, kind), (name, disasm.format_instr_line(ri))
 
 
 def test_checked_in_fixtures_match_builders():

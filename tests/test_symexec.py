@@ -371,3 +371,42 @@ def test_execute_soundness_on_random_programs(solver):
             hits = [leaf for leaf in st.leaves
                     if matches(H, leaf, envf, stop)]
             assert hits, (trial, [i.kind for i in instrs])
+
+
+def _structure_or_error(run):
+    try:
+        return symexec.structure_to_text(run())
+    except symexec.EngineError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _memo_runs(solver):
+    """Thunks executing every fixture and the seeded random programs."""
+    from bircheck.corpus import fixture_config, fixture_names
+    runs = []
+    for name in fixture_names():
+        sl, prog, _, rc = load_fixture(name)
+        if rc is None:
+            runs.append(lambda sl=sl, prog=prog: execute(
+                prog, sl.entry, sl.end_addrs, set(), bir.true_exp, solver=solver))
+        else:
+            bc = contracts.to_bir(rc, prog)
+            runs.append(lambda bc=bc, cfg=fixture_config(name):
+                        contracts.execute(bc, cfg, solver))
+    rng = random.Random(0xF00D)
+    for _ in range(20):
+        base, n = 0x40000, rng.randrange(3, 10)
+        instrs = _random_loopfree_program(rng, n, base)
+        prog = BirProgram([lifter.lift_instr(ins, base + 4 * k)
+                           for k, ins in enumerate(instrs)])
+        runs.append(lambda prog=prog, base=base, end=base + 4 * n: execute(
+            prog, base, {end}, set(), bir.true_exp, solver=solver))
+    return runs
+
+
+def test_run_memo_leaves_structures_unchanged(solver, monkeypatch):
+    runs = _memo_runs(solver)
+    shared = [_structure_or_error(r) for r in runs]
+    simplify = symexec.simplify
+    monkeypatch.setattr(symexec, "simplify", lambda sbar, memo=None: simplify(sbar))
+    assert [_structure_or_error(r) for r in runs] == shared
