@@ -472,7 +472,8 @@ def _collect_vars(exp, seen):
 
 
 def collect_syms(exp, out=None):
-    """All Sym leaves of `exp`, keyed by name, in first-use order."""
+    """All Sym leaves of `exp`, keyed by name, in right-to-left pre-order
+    (the stack pops the last child first): `(a + b) + c` gives c, b, a."""
     if out is None:
         out = {}
     memo = set()
@@ -606,11 +607,10 @@ def mem_equal(m1, m2):
 # ---------------------------------------------------------------------------
 # Block execution
 
-def exec_block(program, block, env):
-    """Run one block concretely.  Returns (new env, next label).  Computed
-    jump targets are evaluated and must land on a block label or one of
-    `program`'s declared exits (the caller checks exits; here any int is
-    returned as-is)."""
+def exec_block(block, env):
+    """Run one block concretely.  Returns (new env, next label); a computed
+    jump target is evaluated and returned as-is (the caller checks that it
+    lands on a block label or an exit)."""
     env = dict(env)
     for st in block.statements:
         env[st.var] = eval_exp(st.exp, env)

@@ -205,6 +205,8 @@ def cmd_bench(args):
             entry, ends = rc.entry, rc.endpoints
         else:
             instrs = list(unit.all_instrs())
+            if not instrs:
+                raise disasm.DisasmError(f"{name}.dis has no instructions")
             entry, ends = instrs[0].address, {instrs[-1].address}
         sl = disasm.make_slice(unit, entry, ends)
         prog, _ = lifter.lift_slice(sl)

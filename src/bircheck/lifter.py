@@ -353,13 +353,12 @@ def check_simulation(i: Instr, addr: int, trials: int, seed: int,
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     block = lift_fn(i, addr)
-    program = BirProgram([block])
     failures = []
     for t in range(trials):
         s0 = random_machine_state(rng, addr, i)
         s1 = isa.step(s0, i)
         env0 = machine_to_env(s0)
-        env1, nxt = bir.exec_block(program, block, env0)
+        env1, nxt = bir.exec_block(block, env0)
         mismatch = {}
         for r in range(1, 32):
             if env1[_XVARS[r]] != s1.gpr[r]:

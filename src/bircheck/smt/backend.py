@@ -142,7 +142,8 @@ def _terms_of(obl):
 
 
 def _declared_syms(terms):
-    """The free symbols of `terms`, by name, in first-use order."""
+    """The free symbols of `terms`, by name: term by term, each in
+    `bir.collect_syms`'s right-to-left pre-order."""
     syms = {}
     for t in terms:
         bir.collect_syms(t, syms)

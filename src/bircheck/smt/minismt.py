@@ -1,11 +1,16 @@
 """A small QF_ABV solver speaking SMTLIB2 on stdin/stdout.
 
 This is the bundled fallback backend for environments without a system SMT
-solver; any SMTLIB2-compliant QF_ABV solver can be used in its place.  It
-supports fixed-width bitvectors, arrays from (_ BitVec 64) to (_ BitVec 8),
-one-shot scripts (declare/define/assert/check-sat/get-model), and decides
-formulas by word-level rewriting followed by bit-blasting to CNF and CDCL
-search.  Everything is deterministic.
+solver.  It reads exactly the fragment `backend.encode` writes: the commands
+set-logic, declare-const, 0-ary define-fun, assert, check-sat and get-model;
+the sorts (_ BitVec w) and (Array (_ BitVec 64) (_ BitVec 8)); symbols,
+(_ bvV w) and #b literals; the operators of `BV_OPS`, binary = and distinct
+over bit-vectors, ite over bit-vectors, select, store, n-ary concat and the
+indexed extract, zero_extend and sign_extend.  Any other input, or input with
+the wrong arity, indices or sorts, answers `unknown` with a `minismt:` line on
+stderr and exit status 1; general SMTLIB2 scripts need an external QF_ABV
+solver such as z3.  Formulas are decided by word-level rewriting followed by
+bit-blasting to CNF and CDCL search.  Everything is deterministic.
 
 Usage: bircheck-smt [file.smt2]    (reads stdin when no file is given)
 """
@@ -224,18 +229,6 @@ class TermBank:
                 return a
         return self._mk("udiv", w, (a, b))
 
-    def urem(self, a, b):
-        w = self.w[a]
-        if self.is_const(b):
-            bv = self.cval(b)
-            if bv == 0:
-                return a
-            if self.is_const(a):
-                return self.const(w, self.cval(a) % bv)
-            if bv == 1:
-                return self.const(w, 0)
-        return self._mk("urem", w, (a, b))
-
     def _bitwise(self, op, w, terms):
         # flatten, fold constants, sort, dedupe (xor: cancel pairs)
         cval = 0 if op in ("orb", "xorb") else (1 << w) - 1
@@ -387,10 +380,10 @@ class TermBank:
         return self._mk("sext", w, (a, n))
 
     def eq(self, a, b):
+        if self.w[a] == ARR or self.w[b] == ARR:
+            raise SmtInputError("array equality is not supported")
         if a == b:
             return self.true()
-        if self.w[a] == ARR or self.w[b] == ARR:
-            return self._mk("eqarr", 1, tuple(sorted((a, b))))
         w = self.w[a]
         if self.is_const(a) and self.is_const(b):
             return self.true() if self.cval(a) == self.cval(b) else self.false()
@@ -451,12 +444,9 @@ class TermBank:
             return self.true() if self._signed(a) < self._signed(b) else self.false()
         return self._mk("slt", 1, (a, b))
 
-    def sle(self, a, b):
-        if a == b:
-            return self.true()
-        return self.notb(self.slt(b, a))
-
     def ite(self, c, a, b):
+        if self.w[a] == ARR:
+            raise SmtInputError("ite over arrays is not supported")
         if self.is_const(c):
             return a if self.cval(c) else b
         if a == b:
@@ -464,8 +454,6 @@ class TermBank:
         if self.w[a] == 1 and self.is_const(a) and self.is_const(b):
             # (ite c true false) -> c ; (ite c false true) -> not c
             return c if self.cval(a) else self.notb(c)
-        if self.w[a] == ARR:
-            return self._mk("itearr", ARR, (c, a, b))
         return self._mk("ite", self.w[a], (c, a, b))
 
     def select(self, arr, idx):
@@ -479,9 +467,6 @@ class TermBank:
             if self.cval(d) == 0:
                 return v
             node = base
-        if self.op[node] == "itearr":
-            c, m1, m2 = self.args[node]
-            return self.ite(c, self.select(m1, idx), self.select(m2, idx))
         return self._mk("select", 8, (node, idx))
 
     def store(self, arr, idx, val):
@@ -500,9 +485,7 @@ class TermBank:
             return ()
         if opn == "lin":
             return tuple(p for p, _ in a[1])
-        if opn == "extract":
-            return (a[0],)
-        if opn == "sext":
+        if opn in ("extract", "sext"):
             return (a[0],)
         return a
 
@@ -521,19 +504,15 @@ class TermBank:
             return self.concat(*kids)
         if opn in ("andb", "orb", "xorb"):
             return self._bitwise(opn, self.w[t], kids)
-        fn = {"mul": self.mul, "udiv": self.udiv, "urem": self.urem,
+        fn = {"mul": self.mul, "udiv": self.udiv,
               "shl": self.shl, "lshr": self.lshr, "ashr": self.ashr,
-              "notb": self.notb, "eq": self.eq, "eqarr": self.eq,
-              "ult": self.ult, "slt": self.slt,
-              "ite": self.ite, "itearr": self.ite,
-              "select": self.select, "store": self.store}[opn]
+              "notb": self.notb, "eq": self.eq, "ult": self.ult, "slt": self.slt,
+              "ite": self.ite, "select": self.select, "store": self.store}[opn]
         return fn(*kids)
 
-    def substitute(self, t, mapping, memo=None):
-        """`t` with the terms of `mapping` replaced; pass one `memo` to share
+    def substitute(self, t, mapping, memo):
+        """`t` with the terms of `mapping` replaced; one `memo` dict shares
         work between calls with the same mapping."""
-        if memo is None:
-            memo = {}
         memo.update(mapping)
         return drive(self._substituted, t, memo)
 
@@ -545,11 +524,9 @@ class TermBank:
         new = tuple(new)
         return t if new == kids else self.rebuild(t, new)
 
-    def free_vars(self, t, out=None, memo=None):
-        if out is None:
-            out = set()
-        if memo is None:
-            memo = set()
+    def free_vars(self, t):
+        out = set()
+        memo = set()
         stack = [t]
         while stack:
             x = stack.pop()
@@ -564,181 +541,157 @@ class TermBank:
 
 
 # ---------------------------------------------------------------------------
-# Parsing terms
+# Parsing the fragment `backend.encode` writes
+#
+# A parsed term is a pair (bank term, sort).  A sort is a bit-vector width,
+# ARR, or BOOL: the sort of `=`, `distinct` and the comparisons, which only
+# `ite` and `assert` take.  In the bank a Bool is a width-1 term.
 
-BV_BINOPS = {"bvadd": "add", "bvsub": "sub", "bvmul": "mul", "bvudiv": "udiv",
-             "bvurem": "urem", "bvand": "andb", "bvor": "orb", "bvxor": "xorb",
-             "bvshl": "shl", "bvlshr": "lshr", "bvashr": "ashr"}
-# comparison -> (TermBank method, operands swapped)
-BV_CMP = {"bvult": ("ult", False), "bvule": ("ule", False), "bvugt": ("ult", True),
-          "bvuge": ("ule", True), "bvslt": ("slt", False), "bvsle": ("sle", False),
-          "bvsgt": ("slt", True), "bvsge": ("sle", True)}
+BOOL = "Bool"
+# operator -> (TermBank method, operand count); the operands share one width,
+# which is also the result's except for the comparisons
+BV_OPS = {"bvnot": ("notb", 1), "bvneg": ("neg", 1), "bvadd": ("add", 2),
+          "bvsub": ("sub", 2), "bvmul": ("mul", 2), "bvudiv": ("udiv", 2),
+          "bvand": ("andb", 2), "bvor": ("orb", 2), "bvxor": ("xorb", 2),
+          "bvshl": ("shl", 2), "bvlshr": ("lshr", 2), "bvashr": ("ashr", 2),
+          "bvult": ("ult", 2), "bvule": ("ule", 2), "bvslt": ("slt", 2)}
+BV_CMPS = ("bvult", "bvule", "bvslt")
+OTHER_OPS = ("=", "distinct", "ite", "select", "store", "concat")
+INDEXED_OPS = ("extract", "zero_extend", "sign_extend")
+
+
+def _show(s):
+    """`s` for an error message, with nested lists elided."""
+    if isinstance(s, str):
+        return s
+    return "(" + " ".join(x if isinstance(x, str) else "(...)" for x in s) + ")"
+
+
+def _numeral(tok, least=0):
+    if isinstance(tok, str) and tok.isascii() and tok.isdigit() and int(tok) >= least:
+        return int(tok)
+    raise SmtInputError(f"expected a numeral >= {least}, got {_show(tok)}")
 
 
 class Script:
     def __init__(self):
         self.tb = TermBank()
         self.decls = []      # (name, sort) in declaration order
-        self.env = {}        # name -> term (declare or define)
+        self.env = {}        # name -> (term, sort), declared or defined
         self.asserts = []
         self.checked = None
 
     def parse_sort(self, s):
-        if isinstance(s, list):
-            if s[0] == "_" and s[1] == "BitVec":
-                return int(s[2])
-            if s[0] == "Array":
-                iw = self.parse_sort(s[1])
-                vw = self.parse_sort(s[2])
-                if (iw, vw) != (64, 8):
-                    raise SmtInputError("only (Array (_ BitVec 64) (_ BitVec 8)) supported")
-                return ARR
-        if s == "Bool":
-            return 1
-        raise SmtInputError(f"unsupported sort {s!r}")
+        if s == ["Array", ["_", "BitVec", "64"], ["_", "BitVec", "8"]]:
+            return ARR
+        if isinstance(s, list) and len(s) == 3 and s[:2] == ["_", "BitVec"]:
+            return _numeral(s[2], 1)
+        raise SmtInputError(f"unsupported sort {_show(s)}")
 
-    def term(self, s):
-        return drive(self._term, (s, {}))
-
-    def _term(self, item):
-        """`drive` step: the term of s-expression `s` under the `let`
-        bindings `lets`, where `item` is (s, lets)."""
-        s, lets = item
+    def _term(self, s):
+        """`drive` step: the (term, sort) of s-expression `s`."""
         tb = self.tb
         if isinstance(s, str):
-            if s in lets:
-                return lets[s]
             if s in self.env:
                 return self.env[s]
-            if s == "true":
-                return tb.true()
-            if s == "false":
-                return tb.false()
-            if s.startswith("#x"):
-                return tb.const(4 * (len(s) - 2), int(s[2:], 16))
-            if s.startswith("#b"):
-                return tb.const(len(s) - 2, int(s[2:], 2))
-            raise SmtInputError(f"unknown symbol {s!r}")
+            if s.startswith("#b") and len(s) > 2 and not s[2:].strip("01"):
+                return tb.const(len(s) - 2, int(s[2:], 2)), len(s) - 2
+            raise SmtInputError(f"unknown symbol {s}")
+        if not s:
+            raise SmtInputError("empty term ()")
         head = s[0]
         if head == "_":
-            if s[1].startswith("bv"):
-                return tb.const(int(s[2]), int(s[1][2:]))
-            raise SmtInputError(f"unsupported indexed id {s!r}")
-        if head == "let":
-            new = dict(lets)
-            for name, body in s[1]:
-                new[name] = yield body, lets
-            return (yield s[2], new)
-        if isinstance(head, list) and head[0] == "_":
-            op = head[1]
-            n = int(head[2])
-            a = yield s[1], lets
-            if op == "zero_extend":
-                return tb.zext(a, n)
-            if op == "sign_extend":
-                return tb.sext(a, n)
-            if op == "extract":
-                return tb.extract(a, int(head[2]), int(head[3]))
-            if op == "rotate_left" or op == "rotate_right":
-                w = tb.w[a]
-                n = n % w
-                if op == "rotate_right":
-                    n = (w - n) % w
-                if n == 0:
-                    return a
-                return tb.concat(tb.extract(a, w - n - 1, 0), tb.extract(a, w - 1, w - n))
-            raise SmtInputError(f"unsupported indexed op {head!r}")
-        if isinstance(head, list) and head[0] == "as":
-            # ((as const (Array ...)) v) — constant arrays only appear in models
-            raise SmtInputError("constant arrays not supported in input")
-        args = []
+            if len(s) == 3 and isinstance(s[1], str) and s[1].startswith("bv"):
+                w = _numeral(s[2], 1)
+                return tb.const(w, _numeral(s[1][2:])), w
+            raise SmtInputError(f"unsupported constant {_show(s)}")
+        if isinstance(head, list):
+            # ((_ extract i j) x), ((_ zero_extend k) x), ((_ sign_extend k) x)
+            op = head[1] if len(head) > 1 and head[0] == "_" else None
+            if op not in INDEXED_OPS:
+                raise SmtInputError(f"unsupported operator {_show(head)}")
+        elif head not in BV_OPS and head not in OTHER_OPS:
+            raise SmtInputError(f"unsupported operator {head}")
+        kids = []
         for x in s[1:]:
-            args.append((yield x, lets))
-        if head == "and":
-            return tb.andb(*args) if args else tb.true()
-        if head == "or":
-            return tb.orb(*args) if args else tb.false()
-        if head == "xor":
-            return tb.xorb(*args)
-        if head in ("not", "bvnot"):
-            return tb.notb(args[0])
-        if head == "=>":
-            out = args[-1]
-            for a in reversed(args[:-1]):
-                out = tb.orb(tb.notb(a), out)
-            return out
-        if head == "=":
-            out = tb.true()
-            for a, b in zip(args, args[1:]):
-                out = tb.andb(out, tb.eq(a, b))
-            return out
-        if head == "distinct":
-            out = tb.true()
-            for i in range(len(args)):
-                for j in range(i + 1, len(args)):
-                    out = tb.andb(out, tb.notb(tb.eq(args[i], args[j])))
-            return out
-        if head == "ite":
-            return tb.ite(*args)
-        if head == "bvneg":
-            return tb.neg(args[0])
-        if head == "concat":
-            out = args[0]
-            for a in args[1:]:
-                out = tb.concat(out, a)
-            return out
-        if head == "select":
-            return tb.select(*args)
-        if head == "store":
-            return tb.store(*args)
-        if head in BV_BINOPS:
-            kind = BV_BINOPS[head]
-            out = args[0]
-            for a in args[1:]:
-                out = getattr(tb, kind)(out, a)
-            return out
-        if head in BV_CMP:
-            a, b = args
-            name, swapped = BV_CMP[head]
-            return getattr(tb, name)(*((b, a) if swapped else (a, b)))
-        if head == "bvcomp":
-            return tb.eq(args[0], args[1])
-        raise SmtInputError(f"unsupported operator {head!r}")
+            kids.append((yield x))
+        terms = [t for t, _ in kids]
+        sorts = [srt for _, srt in kids]
+        n = len(kids)
+        same = n > 0 and sorts.count(sorts[0]) == n
+        bv = same and isinstance(sorts[0], int)  # bit-vectors of one width
+        if isinstance(head, list):
+            if op == "extract" and len(head) == 4 and n == 1 and bv:
+                hi, lo = _numeral(head[2]), _numeral(head[3])
+                if sorts[0] > hi >= lo:
+                    return tb.extract(terms[0], hi, lo), hi - lo + 1
+            elif op != "extract" and len(head) == 3 and n == 1 and bv:
+                k = _numeral(head[2])
+                ext = tb.zext if op == "zero_extend" else tb.sext
+                return ext(terms[0], k), sorts[0] + k
+        elif head in BV_OPS:
+            method, arity = BV_OPS[head]
+            if n == arity and bv:
+                return getattr(tb, method)(*terms), BOOL if head in BV_CMPS else sorts[0]
+        elif head == "=" or head == "distinct":
+            if n == 2 and same and sorts[0] != BOOL:
+                t = tb.eq(*terms)
+                return (t if head == "=" else tb.notb(t)), BOOL
+        elif head == "ite":
+            if n == 3 and sorts[0] == BOOL and sorts[1] == sorts[2] != BOOL:
+                return tb.ite(*terms), sorts[1]
+        elif head == "select":
+            if sorts == [ARR, 64]:
+                return tb.select(*terms), 8
+        elif head == "store":
+            if sorts == [ARR, 64, 8]:
+                return tb.store(*terms), ARR
+        elif head == "concat":
+            if n >= 2 and all(isinstance(srt, int) for srt in sorts):
+                out = terms[0]
+                for t in terms[1:]:
+                    out = tb.concat(out, t)
+                return out, sum(sorts)
+        raise SmtInputError(f"wrong indices, operand count or operand sorts for {_show(head)}")
 
     def run_command(self, s, out):
-        head = s[0] if isinstance(s, list) else s
-        if head in ("set-logic", "set-info", "set-option"):
+        head, args = (s[0], s[1:]) if isinstance(s, list) and s else (s, [])
+        if head == "set-logic" and len(args) == 1:
             return
-        if head in ("declare-const", "declare-fun"):
-            name = s[1]
-            sort = self.parse_sort(s[2] if head == "declare-const" else s[3])
-            if head == "declare-fun" and s[2]:
-                raise SmtInputError("only 0-arity declare-fun supported")
+        if head == "declare-const" and len(args) == 2:
+            name, sort = self._new_name(args[0]), self.parse_sort(args[1])
             self.decls.append((name, sort))
-            self.env[name] = self.tb.var(name, sort)
+            self.env[name] = self.tb.var(name, sort), sort
             return
-        if head == "define-fun":
-            name, params, _sort, body = s[1], s[2], s[3], s[4]
-            if params:
-                raise SmtInputError("only 0-arity define-fun supported")
-            self.env[name] = self.term(body)
+        if head == "define-fun" and len(args) == 4 and args[1] == []:
+            name, sort = self._new_name(args[0]), self.parse_sort(args[2])
+            t, got = drive(self._term, args[3])
+            if got != sort:
+                raise SmtInputError(f"the body of {name} has the wrong sort")
+            self.env[name] = t, sort
             return
-        if head == "assert":
-            self.asserts.append(self.term(s[1]))
+        if head == "assert" and len(args) == 1:
+            t, sort = drive(self._term, args[0])
+            if sort != BOOL:
+                raise SmtInputError("assert takes a Bool term")
+            self.asserts.append(t)
             return
-        if head == "check-sat":
+        if head == "check-sat" and not args:
             self.checked = solve(self)
             out.write(self.checked[0] + "\n")
             return
-        if head == "get-model":
+        if head == "get-model" and not args:
             if self.checked and self.checked[0] == "sat":
                 out.write(format_model(self, self.checked[1]) + "\n")
             else:
                 out.write("(error \"model is not available\")\n")
             return
-        if head in ("exit", "reset", "get-info"):
-            return
-        raise SmtInputError(f"unsupported command {head!r}")
+        raise SmtInputError(f"unsupported or malformed command {_show(s)}")
+
+    def _new_name(self, name):
+        if not isinstance(name, str) or name in self.env:
+            raise SmtInputError(f"{_show(name)} is not a fresh symbol")
+        return name
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +720,7 @@ def solve_eqs(tb, conjuncts):
         changed = False
         rounds += 1
         for i, t in enumerate(work):
-            if tb.op[t] not in ("eq", "eqarr"):
+            if tb.op[t] != "eq":
                 continue
             a, b = tb.args[t]
             cand = None
@@ -945,10 +898,10 @@ class Blaster:
             high = self.gor(high, ys[j])
         return [self.gmux(high, fill, b) for b in out]
 
-    def divmod_bits(self, xs, ys, w):
+    def udiv_bits(self, xs, ys, w):
         # restoring long division at w+1 bits (the intermediate remainder
         # 2r+b can exceed w bits when the divisor's top bit is set);
-        # q = all ones and r = x when y = 0
+        # q = all ones when y = 0
         q = [None] * w
         ys1 = list(ys) + [-TRUE_LIT]
         r = self.const_bits(w + 1, 0)
@@ -958,11 +911,8 @@ class Blaster:
             sub = self.add_bits(r, [-y for y in ys1], TRUE_LIT)
             r = [self.gmux(ge, s, o) for s, o in zip(sub, r)]
             q[i] = ge
-        r = r[:w]
         yzero = self.eq_bits(ys, self.const_bits(w, 0))
-        q = [self.gmux(yzero, TRUE_LIT, b) for b in q]
-        r = [self.gmux(yzero, x, b) for x, b in zip(xs, r)]
-        return q, r
+        return [self.gmux(yzero, TRUE_LIT, b) for b in q]
 
     def bits(self, t):
         return drive(self._bits, t, self.bits_memo)
@@ -973,8 +923,6 @@ class Blaster:
         tb = self.tb
         opn = tb.op[t]
         w = tb.w[t]
-        if w == ARR:
-            raise SmtInputError("array term cannot be bit-blasted directly")
         if opn == "const":
             return self.const_bits(w, tb.cval(t))
         if opn == "var":
@@ -993,10 +941,9 @@ class Blaster:
         if opn == "mul":
             a, b = tb.args[t]
             return self.mul_bits((yield a), (yield b), w)
-        if opn in ("udiv", "urem"):
+        if opn == "udiv":
             a, b = tb.args[t]
-            q, r = self.divmod_bits((yield a), (yield b), w)
-            return q if opn == "udiv" else r
+            return self.udiv_bits((yield a), (yield b), w)
         if opn in ("andb", "orb", "xorb"):
             gate = {"andb": self.gand, "orb": self.gor, "xorb": self.gxor}[opn]
             acc = self.const_bits(w, (1 << w) - 1 if opn == "andb" else 0)
@@ -1023,8 +970,6 @@ class Blaster:
             a, b = tb.args[t]
             compare = self.eq_bits if opn == "eq" else self.ult_bits
             return [compare((yield a), (yield b))]
-        if opn == "eqarr":
-            raise SmtInputError("array equality is not supported")
         if opn == "slt":
             a, b = tb.args[t]
             xs, ys = list((yield a)), list((yield b))
@@ -1045,27 +990,12 @@ class Blaster:
         arr, idx = tb.args[t]
         idx_bits = yield idx
         node = arr
-        result = None
         muxes = []  # (cond lit, value bits) from outermost store inward
-        while True:
-            opn = tb.op[node]
-            if opn == "store":
-                base, i, v = tb.args[node]
-                muxes.append((self.eq_bits(idx_bits, (yield i)), (yield v)))
-                node = base
-            elif opn == "itearr":
-                c, m1, m2 = tb.args[node]
-                cl = (yield c)[0]
-                # each arm is the select term over that arm, blasted once
-                b1 = yield tb._mk("select", 8, (m1, idx))
-                b2 = yield tb._mk("select", 8, (m2, idx))
-                result = [self.gmux(cl, x, y) for x, y in zip(b1, b2)]
-                break
-            elif opn == "var":
-                result = self.base_select(node, idx, idx_bits)
-                break
-            else:
-                raise SmtInputError(f"cannot select from {opn!r}")
+        while tb.op[node] == "store":
+            base, i, v = tb.args[node]
+            muxes.append((self.eq_bits(idx_bits, (yield i)), (yield v)))
+            node = base
+        result = self.base_select(node, idx, idx_bits)  # an array variable
         for cond, val in reversed(muxes):
             result = [self.gmux(cond, x, y) for x, y in zip(val, result)]
         return result
@@ -1103,8 +1033,7 @@ class Blaster:
         clauses.append([TRUE_LIT])
         for lit in root_lits:
             clauses.append([lit])
-        for cl in self.extra_clauses:
-            clauses.append(list(cl))
+        clauses.extend(self.extra_clauses)
         return clauses
 
 
@@ -1329,15 +1258,8 @@ def solve(script: Script):
         else:
             residual.append(t)
 
-    if not residual:
-        env = {}
-        return ("sat", finish_model(script, env, {}, bindings))
-
     bl = Blaster(tb)
-    try:
-        roots = [bl.bits(t)[0] for t in residual]
-    except SmtInputError:
-        return ("unknown", None)
+    roots = [bl.bits(t)[0] for t in residual]
     sat = Sat(bl.nvars)
     for cl in bl.to_cnf(roots):
         sat.add_clause(cl)
@@ -1347,18 +1269,11 @@ def solve(script: Script):
     if not res:
         return ("unsat", None)
 
-    # read back word values for blasted vars
-    def lit_val(lit):
-        v = sat.value(lit)
-        return 1 if v == 1 else 0
+    def word(lits):  # read back a blasted value
+        return sum((sat.value(l) == 1) << i for i, l in enumerate(lits))
 
-    env = {}
-    for t, lits in bl.bits_memo.items():
-        if tb.op[t] == "var" and tb.w[t] != ARR:
-            env[t] = sum(lit_val(l) << i for i, l in enumerate(lits))
-    sel_vals = {}
-    for (base, idx), byte in bl.sel_bytes.items():
-        sel_vals[(base, idx)] = sum(lit_val(l) << i for i, l in enumerate(byte))
+    env = {t: word(lits) for t, lits in bl.bits_memo.items() if tb.op[t] == "var"}
+    sel_vals = {key: word(byte) for key, byte in bl.sel_bytes.items()}
     return ("sat", finish_model(script, env, sel_vals, bindings))
 
 
@@ -1401,12 +1316,10 @@ class Evaluator:
         if opn == "mul":
             a, b = tb.args[t]
             return ((yield a) * (yield b)) & mask
-        if opn in ("udiv", "urem"):
+        if opn == "udiv":
             a, b = tb.args[t]
             av, bv = (yield a), (yield b)
-            if bv == 0:
-                return mask if opn == "udiv" else av
-            return av // bv if opn == "udiv" else av % bv
+            return av // bv if bv else mask
         if opn in ("andb", "orb", "xorb"):
             v = mask if opn == "andb" else 0
             for a in tb.args[t]:
@@ -1447,53 +1360,35 @@ class Evaluator:
             sa = sa - (1 << aw) if sa >> (aw - 1) else sa
             sb = sb - (1 << aw) if sb >> (aw - 1) else sb
             return 1 if sa < sb else 0
-        if opn in ("ite", "itearr"):
+        if opn == "ite":
             c, a, b = tb.args[t]
             return (yield a) if (yield c) else (yield b)
         if opn == "select":
             arr, idx = tb.args[t]
             iv = yield idx
             node = arr
-            while True:
-                if tb.op[node] == "store":
-                    base, i, v = tb.args[node]
-                    if (yield i) == iv:
-                        return (yield v)
-                    node = base
-                elif tb.op[node] == "itearr":
-                    c, m1, m2 = tb.args[node]
-                    node = m1 if (yield c) else m2
-                else:
-                    got = self.sel_vals.get((node, idx))
-                    if got is not None:
-                        return got
-                    # fall back to matching by concrete address
-                    for (b2, i2), val in self.sel_vals.items():
-                        if b2 == node and (yield i2) == iv:
-                            return val
-                    return 0
-        if opn == "store":
-            base, i, v = tb.args[t]
-            m = dict((yield base))
-            m[(yield i)] = (yield v)
-            return m
+            while tb.op[node] == "store":
+                base, i, v = tb.args[node]
+                if (yield i) == iv:
+                    return (yield v)
+                node = base
+            got = self.sel_vals.get((node, idx))
+            if got is not None:
+                return got
+            # fall back to matching by concrete address
+            for (b2, i2), val in self.sel_vals.items():
+                if b2 == node and (yield i2) == iv:
+                    return val
+            return 0
         raise SmtInputError(f"cannot evaluate {opn!r}")
 
 
 def finish_model(script, env, sel_vals, bindings):
-    tb = script.tb
-    ev = Evaluator(tb, env, sel_vals)
-    values = {}
+    """The value of every declared constant, by name."""
+    ev = Evaluator(script.tb, env, sel_vals)
     for var_t, val_t in reversed(bindings):
-        v = ev(val_t)
-        env[var_t] = v if not isinstance(v, dict) else 0
-        ev.memo[var_t] = v
-        values[var_t] = v
-    model = {}
-    for name, sort in script.decls:
-        t = script.env[name]
-        model[name] = (sort, ev(t))
-    return model
+        env[var_t] = ev.memo[var_t] = ev(val_t)
+    return {name: ev(script.env[name][0]) for name, _ in script.decls}
 
 
 def _fmt_bv(w, v):
@@ -1505,15 +1400,14 @@ def _fmt_bv(w, v):
 def format_model(script, model):
     lines = ["("]
     for name, sort in script.decls:
-        sortv, val = model[name]
-        if sortv == ARR:
+        val = model[name]
+        if sort == ARR:
             arr = "((as const (Array (_ BitVec 64) (_ BitVec 8))) #x00)"
-            if isinstance(val, dict):
-                for a in sorted(val):
-                    arr = f"(store {arr} {_fmt_bv(64, a)} {_fmt_bv(8, val[a])})"
+            for a in sorted(val):
+                arr = f"(store {arr} {_fmt_bv(64, a)} {_fmt_bv(8, val[a])})"
             lines.append(f"  (define-fun {name} () (Array (_ BitVec 64) (_ BitVec 8)) {arr})")
         else:
-            lines.append(f"  (define-fun {name} () (_ BitVec {sortv}) {_fmt_bv(sortv, val)})")
+            lines.append(f"  (define-fun {name} () (_ BitVec {sort}) {_fmt_bv(sort, val)})")
     lines.append(")")
     return "\n".join(lines)
 
@@ -1524,7 +1418,6 @@ def run_script(text, out):
     script = Script()
     for form in read_sexprs(text):
         script.run_command(form, out)
-    return script
 
 
 def main(argv=None):

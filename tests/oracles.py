@@ -30,7 +30,7 @@ def run_program(program, env, entry, exits=(), fuel=10_000):
             raise IndirectTargetUnresolved(at)
         if steps >= fuel:
             raise BirError(f"fuel exhausted at 0x{at:x} after {steps} blocks")
-        env, at = exec_block(program, blk, env)
+        env, at = exec_block(blk, env)
         steps += 1
 
 

@@ -217,32 +217,28 @@ def test_exec_block_increment():
     blk = BirBlock(0x10488, "00150513 (addi a0,a0,1)",
                    (Assign(X10, binop("plus", den(X10), const(64, 1))),),
                    Jmp(0x1048C))
-    prog = BirProgram([blk])
-    env, nxt = bir.exec_block(prog, blk, _mini_env())
+    env, nxt = bir.exec_block(blk, _mini_env())
     assert env[X10] == 6 and nxt == 0x1048C
 
 
 def test_exec_block_empty_jmp():
     blk = BirBlock(0x100, "", (), Jmp(0x200))
-    prog = BirProgram([blk])
     env0 = _mini_env()
-    env, nxt = bir.exec_block(prog, blk, env0)
+    env, nxt = bir.exec_block(blk, env0)
     assert env == env0 and nxt == 0x200
 
 
 def test_exec_block_cjmp_truth_table():
     cond = binpred("eq", den(Z), const(64, 0))
     blk = BirBlock(0x100, "", (), CJmp(cond, 0xA, 0xB))
-    prog = BirProgram([blk])
     for zv, want in ((0, 0xA), (7, 0xB)):
-        _, nxt = bir.exec_block(prog, blk, {Z: zv})
+        _, nxt = bir.exec_block(blk, {Z: zv})
         assert nxt == want
 
 
 def test_exec_block_computed_target():
     blk = BirBlock(0x100, "", (), Jmp(binop("and", den(Z), const(64, ~1))))
-    prog = BirProgram([blk])
-    _, nxt = bir.exec_block(prog, blk, {Z: 0x10501})
+    _, nxt = bir.exec_block(blk, {Z: 0x10501})
     assert nxt == 0x10500
 
 
@@ -334,6 +330,9 @@ def test_leaf_collectors_match_reference_order():
         bir._collect_vars(e, got)
         assert list(got.items()) == list(want.items())
         assert list(bir.collect_syms(e).items()) == list(ref_syms(e).items())
+    # right-to-left pre-order: the order of declare-const lines in every dump
+    a, b, c = (sym(n, bir.Imm64) for n in "abc")
+    assert list(bir.collect_syms(binop("plus", binop("plus", a, b), c))) == ["c", "b", "a"]
 
 
 def test_subst_missing_every_leaf_returns_same_node():

@@ -154,6 +154,12 @@ def test_bench_external_corpus_dir(tmp_path, capsys):
     assert "only" in out
 
 
+def test_bench_listing_without_instructions_exits_2(tmp_path, capsys):
+    (tmp_path / "empty.dis").write_text("")
+    assert main(["bench", str(tmp_path)]) == 2
+    assert "error: empty.dis has no instructions" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["verify", "/nonexistent.dis", "/nonexistent.ctr"]) == 2
 

@@ -245,21 +245,6 @@ def test_minismt_unsat_and_sat_basics():
     assert "#x07" in out
 
 
-def test_minismt_bool_and_let():
-    out = run_minismt("(declare-const p Bool)(declare-const q Bool)"
-                      "(assert (let ((r (and p q))) (=> r p)))"
-                      "(assert p)(assert (not q))(check-sat)")
-    assert out.strip() == "sat"
-
-
-def test_minismt_rotate_and_extract():
-    out = run_minismt("(declare-const x (_ BitVec 32))"
-                      "(assert (not (= ((_ rotate_left 8) x)"
-                      " (concat ((_ extract 23 0) x) ((_ extract 31 24) x)))))"
-                      "(check-sat)")
-    assert out.strip() == "unsat"
-
-
 def test_minismt_signed_compare():
     out = run_minismt("(declare-const x (_ BitVec 8))"
                       "(assert (bvslt x (_ bv0 8)))"
@@ -268,13 +253,11 @@ def test_minismt_signed_compare():
 
 
 def test_minismt_udiv_urem_by_zero_semantics():
-    # SMTLIB fixes x udiv 0 = all ones and x urem 0 = x
+    # SMTLIB fixes x udiv 0 = all ones; the solver reads no bvurem, and the
+    # lifted remu/rem semantics are checked by lifter.check_simulation
     out = run_minismt("(declare-const x (_ BitVec 8))"
-                      "(assert (not (= (bvudiv x (_ bv0 8)) (_ bv255 8))))"
+                      "(assert (distinct (bvudiv x (_ bv0 8)) (_ bv255 8)))"
                       "(check-sat)")
-    assert out.strip() == "unsat"
-    out = run_minismt("(declare-const x (_ BitVec 8))"
-                      "(assert (not (= (bvurem x (_ bv0 8)) x)))(check-sat)")
     assert out.strip() == "unsat"
 
 
@@ -282,7 +265,7 @@ def test_minismt_array_congruence():
     out = run_minismt("(declare-const m (Array (_ BitVec 64) (_ BitVec 8)))"
                       "(declare-const i (_ BitVec 64))(declare-const j (_ BitVec 64))"
                       "(assert (= i j))"
-                      "(assert (not (= (select m i) (select m j))))(check-sat)")
+                      "(assert (distinct (select m i) (select m j)))(check-sat)")
     assert out.strip() == "unsat"
 
 
@@ -302,13 +285,10 @@ def test_minismt_divider_circuits_against_brute_force():
     cases += [(rng.getrandbits(8), rng.getrandbits(8) | 0x80) for _ in range(6)]
     for a, b in cases:
         q = 0xFF if b == 0 else a // b
-        r = a if b == 0 else a % b
         pin = (f"(declare-const x (_ BitVec 8))(declare-const y (_ BitVec 8))"
                f"(assert (bvule x (_ bv{a} 8)))(assert (bvule (_ bv{a} 8) x))"
                f"(assert (bvule y (_ bv{b} 8)))(assert (bvule (_ bv{b} 8) y))")
-        assert run_minismt(pin + f"(assert (not (= (bvudiv x y) (_ bv{q} 8))))"
-                                 "(check-sat)").strip() == "unsat", (a, b)
-        assert run_minismt(pin + f"(assert (not (= (bvurem x y) (_ bv{r} 8))))"
+        assert run_minismt(pin + f"(assert (distinct (bvudiv x y) (_ bv{q} 8)))"
                                  "(check-sat)").strip() == "unsat", (a, b)
 
 
@@ -364,3 +344,98 @@ def test_minismt_extract_through_a_3000_deep_concat_chain():
                       "(declare-const y (_ BitVec 8))\n"
                       f"(assert (= ((_ extract 7 0) {chain}) x))\n(check-sat)\n")
     assert out == "sat\n"
+
+
+# -- the fragment encode writes ------------------------------------------------
+
+def _encodable_constructs():
+    """One expression for every construct `encode` can write."""
+    x8, y8 = sym("x8", bir.Imm8), sym("y8", bir.Imm8)
+    x64, y64 = sym("x64", bir.Imm64), sym("y64", bir.Imm64)
+    out = []
+    for x, y in ((x8, y8), (x64, y64)):
+        for op in backend._SMT_OPS:
+            out.append((binpred if op in bir.PRED_OPS else binop)(op, x, y))
+        out += [bir.unop(op, x) for op in bir.UN_OPS]
+        out.append(bir.ite(binpred("ult", x, y), x, y))
+    for kind in bir.CAST_KINDS:
+        for src, width in ((x8, 64), (x64, 32), (x64, 64)):
+            try:
+                out.append(cast(kind, width, src))
+            except bir.TypeMismatch:
+                pass
+    m, a, b = sym("m", bir.Mem), sym("a", bir.Imm64), sym("b", bir.Imm64)
+    for width in bir.ACCESS_WIDTHS:
+        out.append(load(m, a, width))
+        out.append(load(store(m, a, cast("low", width, x64)), b, 64))
+    shared = binop("plus", x64, y64)
+    out.append(binop("mult", shared, shared))  # last: `shared` is written as .t0
+    return out
+
+
+def _solve_in_process(obl):
+    """minismt's answer to `obl`; a model must satisfy it under bir.eval_exp."""
+    out = io.StringIO()
+    run_script(encode(obl), out)
+    status, _, rest = out.getvalue().partition("\n")
+    if status == "sat":
+        backend._verify_model(obl, backend._extend_model(obl, backend.parse_model(rest)))
+    return status
+
+
+def test_minismt_solves_every_construct_encode_writes():
+    # inputs pinned by equalities fold away in the rewriter; pinned by two
+    # bvule each they reach the blaster.  Either way the solver must agree
+    # with bir.eval_exp on the value of the construct.
+    assert set(backend._SMT_OPS) == set(bir.BIN_OPS + bir.PRED_OPS)
+    assert set(bir.ACCESS_WIDTHS) == {8, 16, 32, 64}
+    constructs = _encodable_constructs()
+    square = constructs[-1]
+    assert "(define-fun .t0 " in encode(Obligation("feasibility", (),
+                                                   binpred("eq", square, const(64, 0))))
+    rng = random.Random(71)
+    a = rng.getrandbits(64)
+    # 8-bit shifts mostly shift everything out, 64-bit ones stay in range
+    vals = {"x8": rng.getrandbits(8), "y8": rng.getrandbits(8), "x64": rng.getrandbits(64),
+            "y64": rng.randrange(64), "a": a, "b": (a + rng.randrange(-7, 8)) % 2 ** 64}
+    addrs = {(base + k) % 2 ** 64 for base in (vals["a"], vals["b"]) for k in range(8)}
+    vals["m"] = {addr: rng.getrandbits(8) for addr in addrs}
+    for e in constructs:
+        want = const(e.ty.width, bir.eval_exp(e, {}, vals))
+        goal = binpred("eq", e, want)
+        syms = bir.collect_syms(e).values()
+        mem_pins = tuple(binpred("eq", load(s, const(64, addr), 8), const(8, byte))
+                         for s in syms if s.ty is bir.Mem
+                         for addr, byte in vals["m"].items())
+        scalars = [(s, const(s.ty.width, vals[s.name])) for s in syms if s.ty is not bir.Mem]
+        by_eq = tuple(binpred("eq", s, c) for s, c in scalars) + mem_pins
+        by_ule = tuple(binpred("ule", *p) for s, c in scalars
+                       for p in ((s, c), (c, s))) + mem_pins
+        shown = bir.print_exp(e)
+        assert _solve_in_process(Obligation("entailment", by_eq, goal)) == "unsat", shown
+        assert _solve_in_process(Obligation("entailment", by_ule, goal)) == "unsat", shown
+        assert _solve_in_process(Obligation("feasibility", by_eq, goal)) == "sat", shown
+
+
+REJECTED_SCRIPTS = {
+    "let": "(declare-const x (_ BitVec 8))(assert (let ((y x)) (= y x)))",
+    "bool-sort": "(declare-const p Bool)(assert p)",
+    "bvurem": "(declare-const x (_ BitVec 8))(assert (= (bvurem x (_ bv3 8)) (_ bv1 8)))",
+    "rotate_left": "(declare-const x (_ BitVec 8))(assert (= ((_ rotate_left 1) x) x))",
+    "array-eq": "(declare-const m (Array (_ BitVec 64) (_ BitVec 8)))"
+                "(declare-const n (Array (_ BitVec 64) (_ BitVec 8)))(assert (= m n))",
+    "declare-fun": "(declare-fun x () (_ BitVec 8))",
+    "unary-eq": "(declare-const x (_ BitVec 8))(assert (= x))",
+    "bv-without-width": "(declare-const x (_ BitVec 8))(assert (= x (_ bv5)))",
+    "extract-one-index": "(declare-const x (_ BitVec 8))(assert (= ((_ extract 3) x) #b1))",
+}
+
+
+@pytest.mark.parametrize("name", REJECTED_SCRIPTS)
+def test_minismt_answers_unknown_outside_the_fragment(name):
+    text = f"(set-logic QF_ABV)\n{REJECTED_SCRIPTS[name]}\n(check-sat)\n(get-model)\n"
+    proc = subprocess.run([sys.executable, "-m", "bircheck.smt.minismt"], input=text,
+                          capture_output=True, text=True)
+    assert (proc.stdout, proc.returncode) == ("unknown\n", 1)
+    assert any(line.startswith("minismt: ") for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
