@@ -4,6 +4,16 @@ Supported set: RV64I base (no FENCE/ECALL), RV64M, and CSRRW/CSRRS/CSRRC
 restricted to the mscratch/mepc/mhartid/mcause/mstatus CSRs.  Values are
 unsigned 64-bit ints; memory is a byte dict with absent addresses reading 0.
 Misaligned accesses are performed byte-wise; there is no trap model.
+
+One table describes the encodings.  INSTRS maps each kind to its format,
+opcode, funct3 and top bits (bits 31:25, or 31:26 for the SH6 shifts);
+IMM_LAYOUT says where each format keeps its immediate and whether it is
+signed, and REGS which of rd/rs1/rs2 it has.  The formats are the base R, I,
+S, B, U and J of the RISC-V Unprivileged ISA spec (chapter 2), plus IM (I
+printed as `rd,imm(rs1)`: jalr and the loads), SH6/SH5 (the 64- and 32-bit
+immediate shifts) and CSR (a CSR address in the immediate's place).
+decode, encode, render_operands, the kind tuples and lifter.sample_instr all
+read it; step keeps its own per-kind semantics.
 """
 
 from __future__ import annotations
@@ -66,30 +76,143 @@ def u64(val):
 
 
 # ---------------------------------------------------------------------------
-# Decoding
+# The instruction table
 
-BRANCH_F3 = {0b000: "beq", 0b001: "bne", 0b100: "blt", 0b101: "bge",
-             0b110: "bltu", 0b111: "bgeu"}
-LOAD_F3 = {0b000: "lb", 0b001: "lh", 0b010: "lw", 0b011: "ld",
-           0b100: "lbu", 0b101: "lhu", 0b110: "lwu"}
-STORE_F3 = {0b000: "sb", 0b001: "sh", 0b010: "sw", 0b011: "sd"}
-OPIMM_F3 = {0b000: "addi", 0b010: "slti", 0b011: "sltiu", 0b100: "xori",
-            0b110: "ori", 0b111: "andi"}
-OP_TABLE = {(0b000, 0b0000000): "add", (0b000, 0b0100000): "sub",
-            (0b001, 0b0000000): "sll", (0b010, 0b0000000): "slt",
-            (0b011, 0b0000000): "sltu", (0b100, 0b0000000): "xor",
-            (0b101, 0b0000000): "srl", (0b101, 0b0100000): "sra",
-            (0b110, 0b0000000): "or", (0b111, 0b0000000): "and",
-            (0b000, 0b0000001): "mul", (0b001, 0b0000001): "mulh",
-            (0b010, 0b0000001): "mulhsu", (0b011, 0b0000001): "mulhu",
-            (0b100, 0b0000001): "div", (0b101, 0b0000001): "divu",
-            (0b110, 0b0000001): "rem", (0b111, 0b0000001): "remu"}
-OP32_TABLE = {(0b000, 0b0000000): "addw", (0b000, 0b0100000): "subw",
-              (0b001, 0b0000000): "sllw", (0b101, 0b0000000): "srlw",
-              (0b101, 0b0100000): "sraw", (0b000, 0b0000001): "mulw",
-              (0b100, 0b0000001): "divw", (0b101, 0b0000001): "divuw",
-              (0b110, 0b0000001): "remw", (0b111, 0b0000001): "remuw"}
-CSR_F3 = {0b001: "csrrw", 0b010: "csrrs", 0b011: "csrrc"}
+# kind -> (format, opcode, funct3 or None, top bits or None), in the order
+# ALL_KINDS lists them.  The top bits are bits 31:25 for R and SH5, and
+# bits 31:26 for SH6 (bit 25 is the shift amount's sixth bit there).
+INSTRS = {
+    "lui": ("U", 0b0110111, None, None),
+    "auipc": ("U", 0b0010111, None, None),
+    "jal": ("J", 0b1101111, None, None),
+    "jalr": ("IM", 0b1100111, 0b000, None),
+    "beq": ("B", 0b1100011, 0b000, None),
+    "bne": ("B", 0b1100011, 0b001, None),
+    "blt": ("B", 0b1100011, 0b100, None),
+    "bge": ("B", 0b1100011, 0b101, None),
+    "bltu": ("B", 0b1100011, 0b110, None),
+    "bgeu": ("B", 0b1100011, 0b111, None),
+    "lb": ("IM", 0b0000011, 0b000, None),
+    "lh": ("IM", 0b0000011, 0b001, None),
+    "lw": ("IM", 0b0000011, 0b010, None),
+    "ld": ("IM", 0b0000011, 0b011, None),
+    "lbu": ("IM", 0b0000011, 0b100, None),
+    "lhu": ("IM", 0b0000011, 0b101, None),
+    "lwu": ("IM", 0b0000011, 0b110, None),
+    "sb": ("S", 0b0100011, 0b000, None),
+    "sh": ("S", 0b0100011, 0b001, None),
+    "sw": ("S", 0b0100011, 0b010, None),
+    "sd": ("S", 0b0100011, 0b011, None),
+    "addi": ("I", 0b0010011, 0b000, None),
+    "slti": ("I", 0b0010011, 0b010, None),
+    "sltiu": ("I", 0b0010011, 0b011, None),
+    "xori": ("I", 0b0010011, 0b100, None),
+    "ori": ("I", 0b0010011, 0b110, None),
+    "andi": ("I", 0b0010011, 0b111, None),
+    "slli": ("SH6", 0b0010011, 0b001, 0b000000),
+    "srli": ("SH6", 0b0010011, 0b101, 0b000000),
+    "srai": ("SH6", 0b0010011, 0b101, 0b010000),
+    "addiw": ("I", 0b0011011, 0b000, None),
+    "slliw": ("SH5", 0b0011011, 0b001, 0b0000000),
+    "srliw": ("SH5", 0b0011011, 0b101, 0b0000000),
+    "sraiw": ("SH5", 0b0011011, 0b101, 0b0100000),
+    "add": ("R", 0b0110011, 0b000, 0b0000000),
+    "sub": ("R", 0b0110011, 0b000, 0b0100000),
+    "sll": ("R", 0b0110011, 0b001, 0b0000000),
+    "slt": ("R", 0b0110011, 0b010, 0b0000000),
+    "sltu": ("R", 0b0110011, 0b011, 0b0000000),
+    "xor": ("R", 0b0110011, 0b100, 0b0000000),
+    "srl": ("R", 0b0110011, 0b101, 0b0000000),
+    "sra": ("R", 0b0110011, 0b101, 0b0100000),
+    "or": ("R", 0b0110011, 0b110, 0b0000000),
+    "and": ("R", 0b0110011, 0b111, 0b0000000),
+    "addw": ("R", 0b0111011, 0b000, 0b0000000),
+    "subw": ("R", 0b0111011, 0b000, 0b0100000),
+    "sllw": ("R", 0b0111011, 0b001, 0b0000000),
+    "srlw": ("R", 0b0111011, 0b101, 0b0000000),
+    "sraw": ("R", 0b0111011, 0b101, 0b0100000),
+    "mul": ("R", 0b0110011, 0b000, 0b0000001),
+    "mulh": ("R", 0b0110011, 0b001, 0b0000001),
+    "mulhsu": ("R", 0b0110011, 0b010, 0b0000001),
+    "mulhu": ("R", 0b0110011, 0b011, 0b0000001),
+    "div": ("R", 0b0110011, 0b100, 0b0000001),
+    "divu": ("R", 0b0110011, 0b101, 0b0000001),
+    "rem": ("R", 0b0110011, 0b110, 0b0000001),
+    "remu": ("R", 0b0110011, 0b111, 0b0000001),
+    "mulw": ("R", 0b0111011, 0b000, 0b0000001),
+    "divw": ("R", 0b0111011, 0b100, 0b0000001),
+    "divuw": ("R", 0b0111011, 0b101, 0b0000001),
+    "remw": ("R", 0b0111011, 0b110, 0b0000001),
+    "remuw": ("R", 0b0111011, 0b111, 0b0000001),
+    "csrrw": ("CSR", 0b1110011, 0b001, None),
+    "csrrs": ("CSR", 0b1110011, 0b010, None),
+    "csrrc": ("CSR", 0b1110011, 0b011, None),
+}
+
+# format -> ((word bit, imm bit, width) pieces, width to sign-extend from);
+# a sign width of 0 means the immediate is unsigned.
+IMM_LAYOUT = {
+    "R": ((), 0),
+    "I": (((20, 0, 12),), 12),
+    "IM": (((20, 0, 12),), 12),
+    "S": (((25, 5, 7), (7, 0, 5)), 12),
+    "B": (((31, 12, 1), (7, 11, 1), (25, 5, 6), (8, 1, 4)), 13),
+    "U": (((12, 12, 20),), 32),
+    "J": (((31, 20, 1), (12, 12, 8), (20, 11, 1), (21, 1, 10)), 21),
+    "SH6": (((20, 0, 6),), 0),
+    "SH5": (((20, 0, 5),), 0),
+    "CSR": ((), 0),
+}
+
+# format -> the register fields it has; CSR also has the CSR address in
+# bits 31:20.
+REGS = {
+    "R": ("rd", "rs1", "rs2"),
+    "I": ("rd", "rs1"),
+    "IM": ("rd", "rs1"),
+    "S": ("rs1", "rs2"),
+    "B": ("rs1", "rs2"),
+    "U": ("rd",),
+    "J": ("rd",),
+    "SH6": ("rd", "rs1"),
+    "SH5": ("rd", "rs1"),
+    "CSR": ("rd", "rs1"),
+}
+
+_REG_SHIFT = {"rd": 7, "rs1": 15, "rs2": 20}
+_TOP_SHIFT = {"R": 25, "SH5": 25, "SH6": 26}
+
+# objdump -d operand text per format (canonical mnemonics only)
+_OPERANDS = {
+    "R": "{rd},{rs1},{rs2}",
+    "I": "{rd},{rs1},{imm}",
+    "IM": "{rd},{imm}({rs1})",
+    "S": "{rs2},{imm}({rs1})",
+    "B": "{rs1},{rs2},{target:x}",
+    "U": "{rd},{upper:#x}",
+    "J": "{rd},{target:x}",
+    "SH6": "{rd},{rs1},{imm:#x}",
+    "SH5": "{rd},{rs1},{imm:#x}",
+    "CSR": "{rd},{csr},{rs1}",
+}
+
+ALL_KINDS = tuple(INSTRS)
+BRANCH_KINDS = tuple(k for k, row in INSTRS.items() if row[0] == "B")
+LOAD_KINDS = tuple(k for k, row in INSTRS.items() if row[1] == 0b0000011)
+STORE_KINDS = tuple(k for k, row in INSTRS.items() if row[0] == "S")
+
+
+def _decode_index():
+    """(opcode, funct3 or None) -> (format, {top bits or None: kind}).  The
+    kinds sharing an opcode and funct3 share a format, which says which top
+    field tells them apart."""
+    index = {}
+    for kind, (fmt, opcode, f3, top) in INSTRS.items():
+        index.setdefault((opcode, f3), (fmt, {}))[1][top] = kind
+    return index
+
+
+_DECODE = _decode_index()
 
 
 def decode(word) -> Instr:
@@ -99,162 +222,54 @@ def decode(word) -> Instr:
     if word & 0b11 != 0b11:
         raise UnsupportedInstr(word, "compressed encoding")
     opcode = word & 0x7F
-    rd = (word >> 7) & 0x1F
-    f3 = (word >> 12) & 0x7
-    rs1 = (word >> 15) & 0x1F
-    rs2 = (word >> 20) & 0x1F
-    f7 = (word >> 25) & 0x7F
-    imm_i = sext(word >> 20, 12)
-
-    if opcode == 0b0110111:
-        return Instr("lui", rd=rd, imm=sext(word & 0xFFFFF000, 32))
-    if opcode == 0b0010111:
-        return Instr("auipc", rd=rd, imm=sext(word & 0xFFFFF000, 32))
-    if opcode == 0b1101111:
-        imm = (((word >> 31) & 1) << 20) | (((word >> 12) & 0xFF) << 12) | \
-              (((word >> 20) & 1) << 11) | (((word >> 21) & 0x3FF) << 1)
-        return Instr("jal", rd=rd, imm=sext(imm, 21))
-    if opcode == 0b1100111:
-        if f3 != 0:
-            raise UnsupportedInstr(word)
-        return Instr("jalr", rd=rd, rs1=rs1, imm=imm_i)
-    if opcode == 0b1100011:
-        if f3 not in BRANCH_F3:
-            raise UnsupportedInstr(word)
-        imm = (((word >> 31) & 1) << 12) | (((word >> 7) & 1) << 11) | \
-              (((word >> 25) & 0x3F) << 5) | (((word >> 8) & 0xF) << 1)
-        return Instr(BRANCH_F3[f3], rs1=rs1, rs2=rs2, imm=sext(imm, 13))
-    if opcode == 0b0000011:
-        if f3 not in LOAD_F3:
-            raise UnsupportedInstr(word)
-        return Instr(LOAD_F3[f3], rd=rd, rs1=rs1, imm=imm_i)
-    if opcode == 0b0100011:
-        if f3 not in STORE_F3:
-            raise UnsupportedInstr(word)
-        imm = ((word >> 25) << 5) | rd
-        return Instr(STORE_F3[f3], rs1=rs1, rs2=rs2, imm=sext(imm, 12))
-    if opcode == 0b0010011:
-        if f3 in OPIMM_F3:
-            return Instr(OPIMM_F3[f3], rd=rd, rs1=rs1, imm=imm_i)
-        shamt = (word >> 20) & 0x3F
-        top6 = (word >> 26) & 0x3F
-        if f3 == 0b001 and top6 == 0:
-            return Instr("slli", rd=rd, rs1=rs1, imm=shamt)
-        if f3 == 0b101 and top6 == 0:
-            return Instr("srli", rd=rd, rs1=rs1, imm=shamt)
-        if f3 == 0b101 and top6 == 0b010000:
-            return Instr("srai", rd=rd, rs1=rs1, imm=shamt)
+    group = _DECODE.get((opcode, (word >> 12) & 0x7)) or _DECODE.get((opcode, None))
+    if group is None:
         raise UnsupportedInstr(word)
-    if opcode == 0b0011011:
-        if f3 == 0b000:
-            return Instr("addiw", rd=rd, rs1=rs1, imm=imm_i)
-        shamt = rs2
-        if f3 == 0b001 and f7 == 0:
-            return Instr("slliw", rd=rd, rs1=rs1, imm=shamt)
-        if f3 == 0b101 and f7 == 0:
-            return Instr("srliw", rd=rd, rs1=rs1, imm=shamt)
-        if f3 == 0b101 and f7 == 0b0100000:
-            return Instr("sraiw", rd=rd, rs1=rs1, imm=shamt)
+    fmt, kinds = group
+    kind = kinds.get(word >> _TOP_SHIFT[fmt] if fmt in _TOP_SHIFT else None)
+    if kind is None:
         raise UnsupportedInstr(word)
-    if opcode == 0b0110011:
-        kind = OP_TABLE.get((f3, f7))
-        if kind is None:
-            raise UnsupportedInstr(word)
-        return Instr(kind, rd=rd, rs1=rs1, rs2=rs2)
-    if opcode == 0b0111011:
-        kind = OP32_TABLE.get((f3, f7))
-        if kind is None:
-            raise UnsupportedInstr(word)
-        return Instr(kind, rd=rd, rs1=rs1, rs2=rs2)
-    if opcode == 0b1110011:
-        if f3 not in CSR_F3:
-            raise UnsupportedInstr(word)
-        csr_addr = (word >> 20) & 0xFFF
-        name = CSR_ADDRS.get(csr_addr)
-        if name is None:
-            raise UnsupportedInstr(word, f"csr 0x{csr_addr:03x} outside supported set")
-        return Instr(CSR_F3[f3], rd=rd, rs1=rs1, csr=name)
-    raise UnsupportedInstr(word)
-
-
-# ---------------------------------------------------------------------------
-# Encoding (inverse of decode; used by fixtures and round-trip tests)
-
-_OP_INV = {v: k for k, v in OP_TABLE.items()}
-_OP32_INV = {v: k for k, v in OP32_TABLE.items()}
-_BRANCH_INV = {v: k for k, v in BRANCH_F3.items()}
-_LOAD_INV = {v: k for k, v in LOAD_F3.items()}
-_STORE_INV = {v: k for k, v in STORE_F3.items()}
-_OPIMM_INV = {v: k for k, v in OPIMM_F3.items()}
-_CSR_INV = {v: k for k, v in CSR_F3.items()}
+    pieces, sign = IMM_LAYOUT[fmt]
+    imm = 0
+    for wbit, ibit, width in pieces:
+        imm |= ((word >> wbit) & ((1 << width) - 1)) << ibit
+    csr = None
+    if fmt == "CSR":
+        csr = CSR_ADDRS.get(word >> 20)
+        if csr is None:
+            raise UnsupportedInstr(word, f"csr 0x{word >> 20:03x} outside supported set")
+    regs = {r: (word >> _REG_SHIFT[r]) & 0x1F for r in REGS[fmt]}
+    return Instr(kind, imm=sext(imm, sign) if sign else imm, csr=csr, **regs)
 
 
 def encode(i: Instr) -> int:
-    """Encode a supported Instr back into its 32-bit word."""
-    k = i.kind
-    if k == "lui":
-        return ((i.imm & MASK32) & 0xFFFFF000) | (i.rd << 7) | 0b0110111
-    if k == "auipc":
-        return ((i.imm & MASK32) & 0xFFFFF000) | (i.rd << 7) | 0b0010111
-    if k == "jal":
-        imm = i.imm & ((1 << 21) - 1)
-        w = (((imm >> 20) & 1) << 31) | (((imm >> 1) & 0x3FF) << 21) | \
-            (((imm >> 11) & 1) << 20) | (((imm >> 12) & 0xFF) << 12)
-        return w | (i.rd << 7) | 0b1101111
-    if k == "jalr":
-        return ((i.imm & 0xFFF) << 20) | (i.rs1 << 15) | (i.rd << 7) | 0b1100111
-    if k in _BRANCH_INV:
-        imm = i.imm & ((1 << 13) - 1)
-        w = (((imm >> 12) & 1) << 31) | (((imm >> 5) & 0x3F) << 25) | \
-            (((imm >> 1) & 0xF) << 8) | (((imm >> 11) & 1) << 7)
-        return w | (i.rs2 << 20) | (i.rs1 << 15) | (_BRANCH_INV[k] << 12) | 0b1100011
-    if k in _LOAD_INV:
-        return ((i.imm & 0xFFF) << 20) | (i.rs1 << 15) | (_LOAD_INV[k] << 12) | (i.rd << 7) | 0b0000011
-    if k in _STORE_INV:
-        imm = i.imm & 0xFFF
-        return ((imm >> 5) << 25) | (i.rs2 << 20) | (i.rs1 << 15) | \
-               (_STORE_INV[k] << 12) | ((imm & 0x1F) << 7) | 0b0100011
-    if k in _OPIMM_INV:
-        return ((i.imm & 0xFFF) << 20) | (i.rs1 << 15) | (_OPIMM_INV[k] << 12) | (i.rd << 7) | 0b0010011
-    if k in ("slli", "srli", "srai"):
-        f3 = 0b001 if k == "slli" else 0b101
-        top = 0b010000 << 26 if k == "srai" else 0
-        return top | ((i.imm & 0x3F) << 20) | (i.rs1 << 15) | (f3 << 12) | (i.rd << 7) | 0b0010011
-    if k == "addiw":
-        return ((i.imm & 0xFFF) << 20) | (i.rs1 << 15) | (i.rd << 7) | 0b0011011
-    if k in ("slliw", "srliw", "sraiw"):
-        f3 = 0b001 if k == "slliw" else 0b101
-        f7 = 0b0100000 << 25 if k == "sraiw" else 0
-        return f7 | ((i.imm & 0x1F) << 20) | (i.rs1 << 15) | (f3 << 12) | (i.rd << 7) | 0b0011011
-    if k in _OP_INV:
-        f3, f7 = _OP_INV[k]
-        return (f7 << 25) | (i.rs2 << 20) | (i.rs1 << 15) | (f3 << 12) | (i.rd << 7) | 0b0110011
-    if k in _OP32_INV:
-        f3, f7 = _OP32_INV[k]
-        return (f7 << 25) | (i.rs2 << 20) | (i.rs1 << 15) | (f3 << 12) | (i.rd << 7) | 0b0111011
-    if k in _CSR_INV:
-        return (CSR_NAMES[i.csr] << 20) | (i.rs1 << 15) | (_CSR_INV[k] << 12) | (i.rd << 7) | 0b1110011
-    raise UnsupportedInstr(0, f"cannot encode kind {k!r}")
+    """Encode a supported Instr back into its 32-bit word (the inverse of
+    decode; used by fixtures and round-trip tests)."""
+    if i.kind not in INSTRS:
+        raise UnsupportedInstr(0, f"cannot encode kind {i.kind!r}")
+    fmt, opcode, f3, top = INSTRS[i.kind]
+    w = opcode | (f3 or 0) << 12 | (top or 0) << _TOP_SHIFT.get(fmt, 0)
+    for r in REGS[fmt]:
+        w |= getattr(i, r) << _REG_SHIFT[r]
+    for wbit, ibit, width in IMM_LAYOUT[fmt][0]:
+        w |= ((i.imm >> ibit) & ((1 << width) - 1)) << wbit
+    if fmt == "CSR":
+        w |= CSR_NAMES[i.csr] << 20
+    return w
 
 
-ALU_IMM_KINDS = ("addi", "slti", "sltiu", "xori", "ori", "andi", "slli", "srli", "srai",
-                 "addiw", "slliw", "srliw", "sraiw")
-ALU_REG_KINDS = ("add", "sub", "sll", "slt", "sltu", "xor", "srl", "sra", "or", "and",
-                 "addw", "subw", "sllw", "srlw", "sraw")
-MUL_DIV_KINDS = ("mul", "mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu",
-                 "mulw", "divw", "divuw", "remw", "remuw")
-LOAD_KINDS = tuple(LOAD_F3.values())
-STORE_KINDS = tuple(STORE_F3.values())
-BRANCH_KINDS = tuple(BRANCH_F3.values())
-CSR_KINDS = ("csrrw", "csrrs", "csrrc")
-ALL_KINDS = (("lui", "auipc", "jal", "jalr") + BRANCH_KINDS + LOAD_KINDS +
-             STORE_KINDS + ALU_IMM_KINDS + ALU_REG_KINDS + MUL_DIV_KINDS + CSR_KINDS)
+def render_operands(i: Instr, addr=0) -> str:
+    """Operand text the way objdump -d prints it, minus pseudo-instructions."""
+    r = ABI_NAMES
+    return _OPERANDS[INSTRS[i.kind][0]].format(
+        rd=r[i.rd], rs1=r[i.rs1], rs2=r[i.rs2], imm=i.imm, csr=i.csr,
+        target=(addr + i.imm) & MASK64, upper=(i.imm >> 12) & 0xFFFFF)
 
 
 # ---------------------------------------------------------------------------
 # Machine state and stepping
 
-CSR_LIST = ("mstatus", "mscratch", "mepc", "mcause", "mhartid")
+CSR_LIST = tuple(CSR_ADDRS.values())
 
 
 @dataclass
@@ -329,7 +344,7 @@ def step(s: MachineState, i: Instr) -> MachineState:
         target = u64(rs1 + i.imm) & ~1
         wr(s.pc + 4)
         n.pc = target
-    elif k in BRANCH_F3.values():
+    elif k in BRANCH_KINDS:
         a, b = rs1, rs2
         if k in ("blt", "bge"):
             a, b = to_signed(a), to_signed(b)
@@ -337,14 +352,14 @@ def step(s: MachineState, i: Instr) -> MachineState:
                  "bltu": a < b, "bgeu": a >= b}[k]
         if taken:
             n.pc = u64(s.pc + i.imm)
-    elif k in LOAD_F3.values():
+    elif k in LOAD_KINDS:
         addr = u64(rs1 + i.imm)
         nbytes = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4, "lwu": 4, "ld": 8}[k]
         v = mem_load(s.mem, addr, nbytes)
         if k in ("lb", "lh", "lw"):
             v = u64(sext(v, nbytes * 8))
         wr(v)
-    elif k in STORE_F3.values():
+    elif k in STORE_KINDS:
         addr = u64(rs1 + i.imm)
         nbytes = {"sb": 1, "sh": 2, "sw": 4, "sd": 8}[k]
         mem_store(n.mem, addr, rs2, nbytes)
@@ -461,32 +476,3 @@ def run(s: MachineState, prog_slice, fuel):
             raise PcOutsideSlice(s.pc)
         s = step(s, decode(ri.word))
         steps += 1
-
-
-# ---------------------------------------------------------------------------
-# Operand rendering (objdump-like, canonical mnemonics only)
-
-def render_operands(i: Instr, addr=0) -> str:
-    """Operand text the way objdump -d prints it, minus pseudo-instructions."""
-    k = i.kind
-    r = lambda n: ABI_NAMES[n]
-    if k in ("lui", "auipc"):
-        return f"{r(i.rd)},0x{(i.imm >> 12) & 0xFFFFF:x}"
-    if k == "jal":
-        return f"{r(i.rd)},{(addr + i.imm) & MASK64:x}"
-    if k == "jalr":
-        return f"{r(i.rd)},{i.imm}({r(i.rs1)})"
-    if k in BRANCH_F3.values():
-        return f"{r(i.rs1)},{r(i.rs2)},{(addr + i.imm) & MASK64:x}"
-    if k in LOAD_F3.values():
-        return f"{r(i.rd)},{i.imm}({r(i.rs1)})"
-    if k in STORE_F3.values():
-        return f"{r(i.rs2)},{i.imm}({r(i.rs1)})"
-    if k in ("slli", "srli", "srai", "slliw", "srliw", "sraiw"):
-        return f"{r(i.rd)},{r(i.rs1)},0x{i.imm:x}"
-    if k in OPIMM_F3.values() or k == "addiw":
-        return f"{r(i.rd)},{r(i.rs1)},{i.imm}"
-    if k in CSR_F3.values():
-        return f"{r(i.rd)},{i.csr},{r(i.rs1)}"
-    return f"{r(i.rd)},{r(i.rs1)},{r(i.rs2)}"
-

@@ -344,15 +344,14 @@ class SimReport:
         return not self.failures
 
 
-def check_simulation(i: Instr, addr: int, trials: int, seed: int,
-                     lift_fn=lift_instr) -> SimReport:
+def check_simulation(i: Instr, addr: int, trials: int, seed: int) -> SimReport:
     """Run `trials` random machine states through isa.step and through the
     lifted block, and compare registers, CSRs, memory delta and successor pc.
     Failures carry the offending state for replay."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
-    block = lift_fn(i, addr)
+    block = lift_instr(i, addr)
     failures = []
     for t in range(trials):
         s0 = random_machine_state(rng, addr, i)
@@ -379,31 +378,19 @@ def check_simulation(i: Instr, addr: int, trials: int, seed: int,
 
 def sample_instr(kind: str, rng) -> Instr:
     """A random well-formed instruction of the given kind (for the per-kind
-    simulation sweep)."""
-    rd = rng.randrange(32)
-    rs1 = rng.randrange(32)
-    rs2 = rng.randrange(32)
-    if kind in ("lui", "auipc"):
-        return Instr(kind, rd=rd, imm=isa.sext(rng.getrandbits(32) & 0xFFFFF000, 32))
-    if kind == "jal":
-        return Instr(kind, rd=rd, imm=isa.sext(rng.getrandbits(21) & ~1, 21))
-    if kind == "jalr":
-        return Instr(kind, rd=rd, rs1=rs1, imm=isa.sext(rng.getrandbits(12), 12))
-    if kind in isa.BRANCH_KINDS:
-        return Instr(kind, rs1=rs1, rs2=rs2, imm=isa.sext(rng.getrandbits(13) & ~1, 13))
-    if kind in isa.LOAD_KINDS:
-        return Instr(kind, rd=rd, rs1=rs1, imm=isa.sext(rng.getrandbits(12), 12))
-    if kind in isa.STORE_KINDS:
-        return Instr(kind, rs1=rs1, rs2=rs2, imm=isa.sext(rng.getrandbits(12), 12))
-    if kind in ("slli", "srli", "srai"):
-        return Instr(kind, rd=rd, rs1=rs1, imm=rng.randrange(64))
-    if kind in ("slliw", "srliw", "sraiw"):
-        return Instr(kind, rd=rd, rs1=rs1, imm=rng.randrange(32))
-    if kind in isa.ALU_IMM_KINDS:
-        return Instr(kind, rd=rd, rs1=rs1, imm=isa.sext(rng.getrandbits(12), 12))
-    if kind in isa.CSR_KINDS:
-        return Instr(kind, rd=rd, rs1=rs1, csr=rng.choice(isa.CSR_LIST))
-    return Instr(kind, rd=rd, rs1=rs1, rs2=rs2)
+    simulation sweep): random registers, an immediate drawn over the bits its
+    format encodes, and a supported CSR for the CSR kinds."""
+    regs = {"rd": rng.randrange(32), "rs1": rng.randrange(32), "rs2": rng.randrange(32)}
+    fmt = isa.INSTRS[kind][0]
+    fields = {r: regs[r] for r in isa.REGS[fmt]}
+    pieces, sign = isa.IMM_LAYOUT[fmt]
+    if pieces:
+        mask = sum(((1 << width) - 1) << ibit for _, ibit, width in pieces)
+        fields["imm"] = (isa.sext(rng.getrandbits(sign) & mask, sign) if sign
+                         else rng.randrange(mask + 1))
+    if fmt == "CSR":
+        fields["csr"] = rng.choice(isa.CSR_LIST)
+    return Instr(kind, **fields)
 
 
 SWEEP_VARIANTS = 4

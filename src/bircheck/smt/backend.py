@@ -28,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .. import bir
-from .minismt import read_sexprs
+from .minismt import SmtInputError, read_sexprs
 
 
 class SmtError(Exception):
@@ -251,9 +251,18 @@ def _offset(addr_text, k):
 # ---------------------------------------------------------------------------
 # Model parsing
 
+def _int(digits, base):
+    try:
+        return int(digits, base)
+    except ValueError:
+        raise ModelParseError(f"unparsable numeral {digits!r}") from None
+
+
 def _parse_value(form):
     stores = []  # (index, value) forms of a store chain, outermost first
     while isinstance(form, list) and form and form[0] == "store":
+        if len(form) != 4:
+            raise ModelParseError(f"malformed store {form!r}")
         stores.append((form[2], form[3]))
         form = form[1]
     if stores:
@@ -262,21 +271,24 @@ def _parse_value(form):
             raise ModelParseError("store over non-array model value")
         arr = dict(arr)
         for idx, val in reversed(stores):
-            arr[_parse_value(idx)] = _parse_value(val)
+            idx, val = _parse_value(idx), _parse_value(val)
+            if isinstance(idx, dict) or isinstance(val, dict):
+                raise ModelParseError("store of a non-numeral model value")
+            arr[idx] = val
         return arr
     if isinstance(form, str):
         if form.startswith("#x"):
-            return int(form[2:], 16)
+            return _int(form[2:], 16)
         if form.startswith("#b"):
-            return int(form[2:], 2)
+            return _int(form[2:], 2)
         if form == "true":
             return 1
         if form == "false":
             return 0
         raise ModelParseError(f"unparsable value {form!r}")
-    if form and form[0] == "_" and form[1].startswith("bv"):
-        return int(form[1][2:])
-    if form and isinstance(form[0], list) and form[0][:2] == ["as", "const"]:
+    if len(form) == 3 and form[0] == "_" and isinstance(form[1], str) and form[1].startswith("bv"):
+        return _int(form[1][2:], 10)
+    if len(form) == 2 and isinstance(form[0], list) and form[0][:2] == ["as", "const"]:
         default = _parse_value(form[1])
         if default != 0:
             raise ModelParseError("constant arrays with nonzero default unsupported")
@@ -285,8 +297,12 @@ def _parse_value(form):
 
 
 def parse_model(text: str) -> dict:
-    """Extract name -> value from solver get-model output."""
-    forms = read_sexprs(text)
+    """Extract name -> value from solver get-model output; ModelParseError
+    for anything malformed."""
+    try:
+        forms = read_sexprs(text)
+    except SmtInputError as e:
+        raise ModelParseError(str(e)) from None
     entries = {}
     for form in forms:
         if not isinstance(form, list):
@@ -294,8 +310,9 @@ def parse_model(text: str) -> dict:
         items = form[1:] if form and form[0] == "model" else form
         for item in items:
             if isinstance(item, list) and item and item[0] == "define-fun":
-                name = item[1]
-                entries[name] = _parse_value(item[4])
+                if len(item) != 5 or not isinstance(item[1], str):
+                    raise ModelParseError(f"malformed define-fun {item!r}")
+                entries[item[1]] = _parse_value(item[4])
     return entries
 
 

@@ -39,14 +39,10 @@ def tokenize(text):
         elif c in "()":
             yield c
             i += 1
-        elif c == "|":
-            j = text.index("|", i + 1)
-            yield text[i:j + 1]
-            i = j + 1
-        elif c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
+        elif c in '|"':
+            j = text.find(c, i + 1)
+            if j < 0:
+                raise SmtInputError(f"unterminated {c}")
             yield text[i:j + 1]
             i = j + 1
         else:
@@ -568,8 +564,13 @@ def _show(s):
 
 
 def _numeral(tok, least=0):
-    if isinstance(tok, str) and tok.isascii() and tok.isdigit() and int(tok) >= least:
-        return int(tok)
+    if isinstance(tok, str) and tok.isascii() and tok.isdigit():
+        try:
+            n = int(tok)
+        except ValueError:  # past the interpreter's limit on decimal digits
+            raise SmtInputError(f"numeral of {len(tok)} digits is too long") from None
+        if n >= least:
+            return n
     raise SmtInputError(f"expected a numeral >= {least}, got {_show(tok)}")
 
 

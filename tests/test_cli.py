@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 
 import pytest
 
@@ -173,6 +174,21 @@ def test_solver_error_exits_4(incr_files, capsys):
     d, c = incr_files
     assert main(["verify", d, c, "--solver", "cat"]) == 4
     assert "error: SolverCrash" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", [
+    "((define-fun |pre_x10 () (_ BitVec 64) #x0000000000000000))",
+    "((define-fun pre_x10 () (_ BitVec 64) (_ bvzz 64)))",
+    "((define-fun pre_x10 () (_ BitVec 64) #xZZ))",
+    "((define-fun pre_x10))"])
+def test_malformed_model_exits_4(incr_files, tmp_path, capsys, model):
+    # a solver that answers sat with a model bircheck cannot read is a solver
+    # error (exit 4), not an input error (exit 2)
+    d, c = incr_files
+    fake = tmp_path / "fake_solver.py"
+    fake.write_text(f"import sys\nsys.stdin.read()\nprint('sat')\nprint({model!r})\n")
+    assert main(["verify", d, c, "--solver", f"{sys.executable} {fake}"]) == 4
+    assert "error: ModelParseError" in capsys.readouterr().err
 
 
 def test_negative_unroll_exits_2(incr_files, capsys):

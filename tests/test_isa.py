@@ -178,3 +178,30 @@ def test_run_swap_routine_exchanges_dwords():
         final, _ = isa.run(s, sl, fuel=100)
         assert isa.mem_load_dword(final.mem, p) == v1
         assert isa.mem_load_dword(final.mem, p + 8) == v0
+
+
+def test_decoder_sweep_pins_the_accepted_words_and_reencodes_each():
+    # Every opcode x funct3 x bits 31:25 with the register fields zero.  The
+    # accepted count pins the rejected set; each accepted word, refilled with
+    # random registers (and a supported CSR address for the CSR kinds), must
+    # encode back to itself.
+    rng = random.Random(20)
+    accepted = []
+    for opcode in range(128):
+        for f3 in range(8):
+            for top in range(128):
+                word = top << 25 | f3 << 12 | opcode
+                try:
+                    isa.decode(word)
+                except isa.UnsupportedInstr:
+                    continue
+                accepted.append(word)
+    assert len(accepted) == 6315
+    csr_addrs = tuple(isa.CSR_ADDRS)
+    for word in accepted:
+        is_csr = isa.decode(word).csr is not None
+        for _ in range(3):
+            w = word | rng.randrange(32) << 7 | rng.randrange(32) << 15 | rng.randrange(32) << 20
+            if is_csr:
+                w = w & 0xFFFFF | rng.choice(csr_addrs) << 20
+            assert isa.encode(isa.decode(w)) == w, hex(w)

@@ -159,13 +159,16 @@ def test_check_simulation_x0_write_passes_only_because_dropped():
     assert rep.passed
 
 
-def test_check_simulation_catches_corrupted_lift():
+def test_check_simulation_catches_corrupted_lift(monkeypatch):
     # mutation fixture: lift with an off-by-one immediate
-    def corrupt(i, addr, comment=""):
-        return lifter.lift_instr(replace(i, imm=i.imm + 1), addr, comment)
+    lift = lifter.lift_instr
 
+    def corrupt(i, addr, comment=""):
+        return lift(replace(i, imm=i.imm + 1), addr, comment)
+
+    monkeypatch.setattr(lifter, "lift_instr", corrupt)
     rep = lifter.check_simulation(Instr("addi", rd=10, rs1=10, imm=1), 0x10488,
-                                  trials=50, seed=7, lift_fn=corrupt)
+                                  trials=50, seed=7)
     assert not rep.passed
     cex = rep.failures[0]
     assert "x10" in cex["fields"]

@@ -12,8 +12,8 @@ import pytest
 import bircheck
 from bircheck import bir
 from bircheck.bir import binop, binpred, cast, const, load, store, sym
-from bircheck.smt import (Obligation, SolverConfig, check, encode,
-                          model_check_stats)
+from bircheck.smt import (Obligation, SolverConfig, check, default_solver_argv,
+                          encode, model_check_stats)
 from bircheck.smt import backend
 from bircheck.smt.minismt import run_script
 
@@ -181,7 +181,7 @@ def test_entailment_monotone_under_extra_hypotheses(solver):
         assert v2.is_unsat
 
 
-def test_dump_files_replay(tmp_path, solver):
+def test_dump_files_replay(tmp_path, solver, monkeypatch):
     cfg = SolverConfig(dump_dir=str(tmp_path))
     obl = Obligation("entailment", (binpred("eq", S, P),),
                      binpred("eq", binop("plus", S, const(64, 1)),
@@ -189,8 +189,9 @@ def test_dump_files_replay(tmp_path, solver):
     v = check(obl, cfg)
     files = list(tmp_path.iterdir())
     assert len(files) == 1 and files[0].suffix == ".smt2"
-    replay = subprocess.run([sys.executable, "-m", "bircheck.smt.minismt",
-                             str(files[0])], capture_output=True, text=True)
+    monkeypatch.delenv("BIRCHECK_SOLVER", raising=False)
+    replay = subprocess.run(default_solver_argv() + [str(files[0])],
+                            capture_output=True, text=True)
     assert replay.stdout.split()[0] == v.status
 
 
@@ -428,14 +429,16 @@ REJECTED_SCRIPTS = {
     "unary-eq": "(declare-const x (_ BitVec 8))(assert (= x))",
     "bv-without-width": "(declare-const x (_ BitVec 8))(assert (= x (_ bv5)))",
     "extract-one-index": "(declare-const x (_ BitVec 8))(assert (= ((_ extract 3) x) #b1))",
+    "unterminated-symbol": "(declare-const |x (_ BitVec 8))",
+    "numeral-past-int-limit": "(declare-const x (_ BitVec 8))(assert (= x (_ bv%s 8)))" % ("9" * 5000),
 }
 
 
 @pytest.mark.parametrize("name", REJECTED_SCRIPTS)
-def test_minismt_answers_unknown_outside_the_fragment(name):
+def test_minismt_answers_unknown_outside_the_fragment(name, monkeypatch):
     text = f"(set-logic QF_ABV)\n{REJECTED_SCRIPTS[name]}\n(check-sat)\n(get-model)\n"
-    proc = subprocess.run([sys.executable, "-m", "bircheck.smt.minismt"], input=text,
-                          capture_output=True, text=True)
+    monkeypatch.delenv("BIRCHECK_SOLVER", raising=False)
+    proc = subprocess.run(default_solver_argv(), input=text, capture_output=True, text=True)
     assert (proc.stdout, proc.returncode) == ("unknown\n", 1)
     assert any(line.startswith("minismt: ") for line in proc.stderr.splitlines())
     assert "Traceback" not in proc.stderr
