@@ -1,10 +1,14 @@
 import dataclasses
+import importlib.util
 import io
+import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -117,6 +121,102 @@ def test_default_solver_needs_no_pythonpath(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, src], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.stdout.strip() == "verified", proc.stderr
+
+
+# The bundled solver's bytecode cache, on a copy of the package, so each test
+# owns the __pycache__ its solver children write.
+
+UNSAT_SCRIPT = "(declare-const x (_ BitVec 8))\n(assert (distinct x x))\n(check-sat)\n"
+
+
+def _package_copy(tmp_path):
+    """The copy's `default_solver_argv()`, its minismt.py, and the environment
+    its solver children run in: no BIRCHECK_SOLVER, no PYTHONPATH, and
+    PYTHONDONTWRITEBYTECODE set."""
+    root = tmp_path / "src"
+    shutil.copytree(Path(bircheck.__file__).parent, root / "bircheck",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONPATH", "BIRCHECK_SOLVER", "PYTHONPYCACHEPREFIX")}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1])\n"
+            "from bircheck.smt import default_solver_argv\n"
+            "print(json.dumps(default_solver_argv()))\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(root)], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout), root / "bircheck" / "smt" / "minismt.py", env
+
+
+def _solve(argv, env, cwd, text=UNSAT_SCRIPT):
+    proc = subprocess.run(argv, input=text, env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+    return proc.stdout
+
+
+def test_bundled_solver_writes_and_reuses_its_bytecode_cache(tmp_path):
+    argv, minismt, env = _package_copy(tmp_path)
+    cache = Path(importlib.util.cache_from_source(str(minismt)))
+    assert not cache.exists()
+    first = _solve(argv, env, tmp_path)
+    assert first == "unsat\n" and cache.is_file()
+    written = cache.stat()
+    assert _solve(argv, env, tmp_path) == first
+    # read, not written again
+    assert (cache.stat().st_ino, cache.stat().st_mtime_ns) == (written.st_ino,
+                                                               written.st_mtime_ns)
+
+
+def test_bundled_solver_never_runs_stale_bytecode(tmp_path):
+    argv, minismt, env = _package_copy(tmp_path)
+    assert _solve(argv, env, tmp_path) == "unsat\n"
+    assert Path(importlib.util.cache_from_source(str(minismt))).is_file()
+    old = minismt.read_text()
+    new = old.replace("def main(argv=None):\n",
+                      "def main(argv=None):\n    sys.stdout.write('unknown\\n')\n    return 1\n", 1)
+    assert new != old
+    # The import system takes the cache as current when the source's size
+    # and mtime, in whole seconds, match the ones it recorded, as for any
+    # Python import: an edit that kept the size within the same second would
+    # be missed. This one changes the size, and the mtime moves on 2 s.
+    minismt.write_text(new)
+    st = minismt.stat()
+    os.utime(minismt, ns=(st.st_atime_ns, st.st_mtime_ns + 2_000_000_000))
+    assert _solve(argv, env, tmp_path) == "unknown\n"
+
+
+def test_bundled_solver_answers_when_its_cache_cannot_be_written(tmp_path):
+    argv, minismt, env = _package_copy(tmp_path)
+    # a plain file where the cache directory would go (chmod would not stop
+    # a root user from writing)
+    blocker = minismt.parent / "__pycache__"
+    blocker.write_text("")
+    sat = "(declare-const x (_ BitVec 8))\n(assert (= x (_ bv5 8)))\n(check-sat)\n(get-model)\n"
+    for _ in range(2):
+        assert _solve(argv, env, tmp_path) == "unsat\n"
+        assert _solve(argv, env, tmp_path, sat) == run_minismt(sat)
+    assert blocker.is_file() and blocker.read_text() == ""
+
+
+def test_model_counters_lose_no_update_across_threads(monkeypatch):
+    monkeypatch.setattr(backend, "_stats", {"sat_models_checked": 0, "sat_model_failures": 0})
+    n, per = 8, 5000
+
+    def bump():
+        for _ in range(per):
+            backend._count("sat_models_checked")
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=bump) for _ in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert model_check_stats() == {"sat_models_checked": n * per, "sat_model_failures": 0}
 
 
 def test_model_soundness_counters_advance(solver):
