@@ -147,9 +147,9 @@ def _package_copy(tmp_path):
     return json.loads(proc.stdout), root / "bircheck" / "smt" / "minismt.py", env
 
 
-def _solve(argv, env, cwd, text=UNSAT_SCRIPT):
-    proc = subprocess.run(argv, input=text, env=env, cwd=cwd,
-                          capture_output=True, text=True, timeout=120)
+def _solve(argv, env, text=UNSAT_SCRIPT):
+    proc = subprocess.run(argv, input=text, env=env, capture_output=True, text=True,
+                          timeout=120)
     return proc.stdout
 
 
@@ -157,18 +157,17 @@ def test_bundled_solver_writes_and_reuses_its_bytecode_cache(tmp_path):
     argv, minismt, env = _package_copy(tmp_path)
     cache = Path(importlib.util.cache_from_source(str(minismt)))
     assert not cache.exists()
-    first = _solve(argv, env, tmp_path)
+    first = _solve(argv, env)
     assert first == "unsat\n" and cache.is_file()
     written = cache.stat()
-    assert _solve(argv, env, tmp_path) == first
-    # read, not written again
-    assert (cache.stat().st_ino, cache.stat().st_mtime_ns) == (written.st_ino,
-                                                               written.st_mtime_ns)
+    assert _solve(argv, env) == first
+    again = cache.stat()  # read, not written again
+    assert (again.st_ino, again.st_mtime_ns) == (written.st_ino, written.st_mtime_ns)
 
 
 def test_bundled_solver_never_runs_stale_bytecode(tmp_path):
     argv, minismt, env = _package_copy(tmp_path)
-    assert _solve(argv, env, tmp_path) == "unsat\n"
+    assert _solve(argv, env) == "unsat\n"
     assert Path(importlib.util.cache_from_source(str(minismt))).is_file()
     old = minismt.read_text()
     new = old.replace("def main(argv=None):\n",
@@ -181,7 +180,7 @@ def test_bundled_solver_never_runs_stale_bytecode(tmp_path):
     minismt.write_text(new)
     st = minismt.stat()
     os.utime(minismt, ns=(st.st_atime_ns, st.st_mtime_ns + 2_000_000_000))
-    assert _solve(argv, env, tmp_path) == "unknown\n"
+    assert _solve(argv, env) == "unknown\n"
 
 
 def test_bundled_solver_answers_when_its_cache_cannot_be_written(tmp_path):
@@ -192,8 +191,8 @@ def test_bundled_solver_answers_when_its_cache_cannot_be_written(tmp_path):
     blocker.write_text("")
     sat = "(declare-const x (_ BitVec 8))\n(assert (= x (_ bv5 8)))\n(check-sat)\n(get-model)\n"
     for _ in range(2):
-        assert _solve(argv, env, tmp_path) == "unsat\n"
-        assert _solve(argv, env, tmp_path, sat) == run_minismt(sat)
+        assert _solve(argv, env) == "unsat\n"
+        assert _solve(argv, env, sat) == run_minismt(sat)
     assert blocker.is_file() and blocker.read_text() == ""
 
 
