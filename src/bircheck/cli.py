@@ -12,18 +12,16 @@ EngineConfig / SolverConfig field defaults, and both classes validate them:
                         or BIRCHECK_SOLVER when set)
   --timeout S           per-obligation solver timeout in seconds (30.0)
   --unroll N            loop unroll bound (0)
-  --max-states N        state budget (4096)
-  --max-steps N         step budget (20000)
-  --abbrev-threshold N  abbreviate a word expression or path condition over N nodes (64)
-  --pool N              solver subprocess pool size (4)
   --dump-smt DIR        dump every obligation as a .smt2 file (off)
+The step, state and abbreviation budgets and the solver pool size are
+constants: symexec.MAX_STEPS, MAX_STATES, ABBREV_THRESHOLD and
+SolverConfig.pool.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import shlex
 import sys
@@ -49,25 +47,18 @@ def add_engine_flags(p):
                    help="per-obligation solver timeout in seconds")
     p.add_argument("--unroll", type=int, default=EngineConfig.unroll,
                    help="loop unroll bound")
-    p.add_argument("--max-states", type=int, default=EngineConfig.max_states)
-    p.add_argument("--max-steps", type=int, default=EngineConfig.max_steps)
-    p.add_argument("--abbrev-threshold", type=int, default=EngineConfig.abbrev_threshold)
-    p.add_argument("--pool", type=int, default=SolverConfig.pool,
-                   help="solver subprocess pool size")
     p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
     p.add_argument("--dump-smt", dest="smt_dump", metavar="DIR",
                    help="dump every obligation as a .smt2 file")
 
 
 def engine_config(args) -> EngineConfig:
-    return EngineConfig(unroll=args.unroll, max_states=args.max_states,
-                        max_steps=args.max_steps, abbrev_threshold=args.abbrev_threshold)
+    return EngineConfig(unroll=args.unroll)
 
 
 def solver_config(args) -> SolverConfig:
     argv = {"argv": shlex.split(args.solver)} if args.solver else {}
-    return SolverConfig(timeout=args.timeout, dump_dir=args.smt_dump, pool=args.pool,
-                        **argv)
+    return SolverConfig(timeout=args.timeout, dump_dir=args.smt_dump, **argv)
 
 
 def _load_slice(path, entry, ends):
@@ -193,10 +184,9 @@ def _bench_targets(args):
 
 def cmd_bench(args):
     engine, solver = engine_config(args), solver_config(args)
-    # on the built-in corpus, flags left at their default keep each fixture's
-    # own settings (isqrt's unroll bound); flags that were given win
-    overrides = {f.name: getattr(engine, f.name) for f in dataclasses.fields(engine)
-                 if getattr(engine, f.name) != f.default}
+    # on the built-in corpus, an --unroll left at its default keeps each
+    # fixture's own bound (isqrt's); one that was given wins
+    own_config = not args.corpus_dir and engine.unroll == EngineConfig.unroll
     rows = []
     for name, dis, rc in _bench_targets(args):
         unit = disasm.parse_objdump(dis)
@@ -210,7 +200,7 @@ def cmd_bench(args):
             entry, ends = instrs[0].address, {instrs[-1].address}
         sl = disasm.make_slice(unit, entry, ends)
         prog, _ = lifter.lift_slice(sl)
-        config = engine if args.corpus_dir else fixture_config(name, **overrides)
+        config = fixture_config(name) if own_config else engine
         bc = contracts.to_bir(rc, prog) if rc is not None else None
         t0 = time.perf_counter()
         try:

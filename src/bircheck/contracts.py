@@ -34,10 +34,12 @@ Contract file grammar (line oriented, '#' comments)::
 from __future__ import annotations
 
 import math
+import operator
 import random
 import re
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import bir, isa, lifter, symexec
 from .bir import binop, binpred, cast, const, den, load, sym
@@ -96,7 +98,7 @@ class RUn:
 
 @dataclass(frozen=True)
 class RBin:
-    op: str  # add sub mul and or xor shl lshr ashr
+    op: str  # a key of BIN_OPS
     a: object
     b: object
     kids = property(lambda self: (self.a, self.b))
@@ -104,7 +106,7 @@ class RBin:
 
 @dataclass(frozen=True)
 class RCmp:
-    op: str  # eq ult ule
+    op: str  # a key of CMP_OPS
     a: object
     b: object
 
@@ -113,6 +115,32 @@ class RCmp:
 Predicate = tuple
 
 M64 = (1 << 64) - 1
+
+
+class BinOpInfo(NamedTuple):
+    text: str     # contract syntax
+    prec: int     # binding strength: a higher one binds tighter
+    bir: str      # the BIR operator it translates to
+    val: object   # its value on 64-bit words
+
+
+# `val` is kept apart from bir._binop_val: translation_check compares the two
+BIN_OPS = {
+    "or": BinOpInfo("|", 0, "or", operator.or_),
+    "xor": BinOpInfo("^", 1, "xor", operator.xor),
+    "and": BinOpInfo("&", 2, "and", operator.and_),
+    "shl": BinOpInfo("<<", 3, "shl", lambda a, b: (a << b) & M64 if b < 64 else 0),
+    "lshr": BinOpInfo(">>", 3, "lshr", lambda a, b: a >> b if b < 64 else 0),
+    "ashr": BinOpInfo(">>s", 3, "ashr",
+                      lambda a, b: (isa.to_signed(a) >> min(b, 63)) & M64),
+    "add": BinOpInfo("+", 4, "plus", lambda a, b: (a + b) & M64),
+    "sub": BinOpInfo("-", 4, "minus", lambda a, b: (a - b) & M64),
+    "mul": BinOpInfo("*", 5, "mult", lambda a, b: (a * b) & M64),
+}
+
+# op -> (contract syntax, value); the BIR predicates have the same names
+CMP_OPS = {"eq": ("==", operator.eq), "ult": ("<u", operator.lt),
+           "ule": ("<=u", operator.le)}
 
 
 def eval_rexp(e, m: isa.MachineState, params: dict) -> int:
@@ -132,38 +160,18 @@ def eval_rexp(e, m: isa.MachineState, params: dict) -> int:
             return isa.mem_load_dword(m.mem, kv[0])
         if isinstance(e, RUn):
             return isa.u64(isa.sext(kv[0] & 0xFFFFFFFF, 32))
-        if e.op not in _REXP_EVAL:
+        if e.op not in BIN_OPS:
             raise ContractError(f"unknown operator {e.op}")
-        return _REXP_EVAL[e.op](*kv)
+        return BIN_OPS[e.op].val(*kv)
 
     return bir.fold(e, rule)
 
 
-_REXP_EVAL = {
-    "add": lambda a, b: (a + b) & M64,
-    "sub": lambda a, b: (a - b) & M64,
-    "mul": lambda a, b: (a * b) & M64,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "shl": lambda a, b: (a << b) & M64 if b < 64 else 0,
-    "lshr": lambda a, b: a >> b if b < 64 else 0,
-    "ashr": lambda a, b: (isa.to_signed(a) >> min(b, 63)) & M64,
-}
-
-
 def eval_pred(pred: Predicate, m: isa.MachineState, params: dict) -> bool:
     for c in pred:
-        a = eval_rexp(c.a, m, params)
-        b = eval_rexp(c.b, m, params)
-        ok = a == b if c.op == "eq" else (a < b if c.op == "ult" else a <= b)
-        if not ok:
+        if not CMP_OPS[c.op][1](eval_rexp(c.a, m, params), eval_rexp(c.b, m, params)):
             return False
     return True
-
-
-_BIR_OPS = {"add": "plus", "sub": "minus", "mul": "mult", "and": "and", "or": "or",
-            "xor": "xor", "shl": "shl", "lshr": "lshr", "ashr": "ashr"}
 
 
 def translate_exp(e):
@@ -184,7 +192,7 @@ def translate_exp(e):
         if isinstance(e, RUn):
             return cast("sext", 64, cast("low", 32, kv[0]))
         if isinstance(e, RBin):
-            return binop(_BIR_OPS[e.op], *kv)
+            return binop(BIN_OPS[e.op].bir, *kv)
         raise UntranslatableAtom(repr(e))
 
     return bir.fold(e, rule)
@@ -233,6 +241,9 @@ class RiscvContract:
         for a in self.post:
             if a not in self.endpoints:
                 raise ContractError(f"postcondition at 0x{a:x} is not an endpoint")
+        clash = self.endpoints & self.forbidden
+        if clash:
+            raise ContractError(f"0x{min(clash):x} is both an endpoint and forbidden")
 
 
 @dataclass
@@ -277,9 +288,8 @@ def _tokenize_expr(text, where):
 
 
 class _ExprParser:
-    OPS = {"|": "or", "^": "xor", "&": "and", "<<": "shl", ">>": "lshr",
-           ">>s": "ashr", "+": "add", "-": "sub", "*": "mul"}
-    PREC = {"|": 0, "^": 1, "&": 2, "<<": 3, ">>": 3, ">>s": 3, "+": 4, "-": 4, "*": 5}
+    OPS = {info.text: op for op, info in BIN_OPS.items()}
+    CMPS = {text: op for op, (text, _) in CMP_OPS.items()}
     # each parenthesis level costs at most 5 parser frames; deeper input is
     # rejected rather than run into the interpreter's recursion limit
     MAX_NESTING = 128
@@ -304,21 +314,20 @@ class _ExprParser:
     def parse_cmp(self):
         a = self.parse_expr()
         op = self.take()
-        if op not in ("==", "<u", "<=u"):
+        if op not in self.CMPS:
             raise ContractError(f"{self.where}: expected comparison, got {op!r}")
         b = self.parse_expr()
         if self.peek() is not None:
             raise ContractError(f"{self.where}: trailing tokens {self.toks[self.i:]}")
-        kind = {"==": "eq", "<u": "ult", "<=u": "ule"}[op]
-        return RCmp(kind, a, b)
+        return RCmp(self.CMPS[op], a, b)
 
     def parse_expr(self, min_prec=0):
         """Binary operators of precedence >= min_prec, left-associative
         (precedence climbing: one frame per rising precedence, not per level)."""
         e = self.parse_unary()
-        while self.PREC.get(self.peek(), -1) >= min_prec:
-            op = self.take()
-            e = RBin(self.OPS[op], e, self.parse_expr(self.PREC[op] + 1))
+        while (op := self.OPS.get(self.peek())) and BIN_OPS[op].prec >= min_prec:
+            self.take()
+            e = RBin(op, e, self.parse_expr(BIN_OPS[op].prec + 1))
         return e
 
     def parse_unary(self):
@@ -412,6 +421,8 @@ def parse_contract(text: str) -> RiscvContract:
                 if p.startswith("s_") or re.fullmatch(r"ab\d+", p):
                     raise ContractError(f"{where}: parameter name {p!r} collides "
                                         f"with engine symbol namespaces")
+                if p in ("gpr", "csr", "mem_load_dword", "sext32"):
+                    raise ContractError(f"{where}: parameter name {p!r} is a keyword")
                 params.append(p)
             section = None
         elif line in ("pre:", "pre"):
@@ -437,16 +448,12 @@ def parse_contract(text: str) -> RiscvContract:
                          forbidden=frozenset(forbidden))
 
 
-_REXP_OPS = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|",
-             "xor": "^", "shl": "<<", "lshr": ">>", "ashr": ">>s"}
-
-
 def print_rexp(e) -> str:
     """Text that the contract parser reads back as `e`: an operand is
     parenthesised only where precedence, or left-associativity on the
     right, would regroup it."""
     def prec(e):
-        return _ExprParser.PREC[_REXP_OPS[e.op]] if isinstance(e, RBin) else math.inf
+        return BIN_OPS[e.op].prec if isinstance(e, RBin) else math.inf
 
     def rule(e, kv):
         if isinstance(e, RConst):
@@ -466,7 +473,7 @@ def print_rexp(e) -> str:
             a = f"({a})"
         if prec(e.b) <= prec(e):
             b = f"({b})"
-        return f"{a} {_REXP_OPS[e.op]} {b}"
+        return f"{a} {BIN_OPS[e.op].text} {b}"
 
     return bir.fold(e, rule)
 
@@ -479,13 +486,12 @@ def print_contract(rc: RiscvContract) -> str:
     if rc.params:
         out.append("params " + " ".join(p.name for p in rc.params))
     out.append("pre:")
-    cmps = {"eq": "==", "ult": "<u", "ule": "<=u"}
     for c in rc.pre:
-        out.append(f"  {print_rexp(c.a)} {cmps[c.op]} {print_rexp(c.b)}")
+        out.append(f"  {print_rexp(c.a)} {CMP_OPS[c.op][0]} {print_rexp(c.b)}")
     for ep in sorted(rc.post):
         out.append(f"post 0x{ep:x}:")
         for c in rc.post[ep]:
-            out.append(f"  {print_rexp(c.a)} {cmps[c.op]} {print_rexp(c.b)}")
+            out.append(f"  {print_rexp(c.a)} {CMP_OPS[c.op][0]} {print_rexp(c.b)}")
     return "\n".join(out) + "\n"
 
 
@@ -566,12 +572,11 @@ def verify(bc: BirContract, config: symexec.EngineConfig | None = None,
     t0 = time.perf_counter()
     try:
         structure = execute(bc, config, solver)
-    except symexec.BudgetExhausted as e:
-        return VerificationResult("unknown", reason=f"budget exhausted: {e}",
-                                  times={"total": time.perf_counter() - t_start})
-    except symexec.IndirectTargetUnbounded as e:
-        return VerificationResult("unknown", reason=str(e),
-                                  times={"total": time.perf_counter() - t_start})
+    except (symexec.BudgetExhausted, symexec.IndirectTargetUnbounded) as e:
+        budget = "budget exhausted: " if isinstance(e, symexec.BudgetExhausted) else ""
+        return VerificationResult("unknown", reason=f"{budget}{e}",
+                                  times={"total": time.perf_counter() - t_start,
+                                         "symex": time.perf_counter() - t0})
     except symexec.ForbiddenLabelReached as e:
         t_symex = time.perf_counter() - t0
         v = discharge(e.state, entailment=False)
@@ -625,7 +630,10 @@ def params_from_model(rc: RiscvContract, model) -> dict:
     return {p.name: model.get(p.name, 0) for p in rc.params}
 
 
-def replay_counterexample(rc: RiscvContract, prog_slice, model, fuel=100_000):
+REPLAY_FUEL = 100_000  # instructions a replay runs before `isa.run` gives up
+
+
+def replay_counterexample(rc: RiscvContract, prog_slice, model):
     """Run the ISA interpreter from the counter-model's initial state and
     report (stop address, post holds?).  A run stops at the first endpoint or
     forbidden label it reaches, or where it leaves the slice; no
@@ -635,7 +643,7 @@ def replay_counterexample(rc: RiscvContract, prog_slice, model, fuel=100_000):
     params = params_from_model(rc, model)
     stops = replace(prog_slice, end_addrs=prog_slice.end_addrs | rc.forbidden)
     try:
-        final, _ = isa.run(m, stops, fuel)
+        final, _ = isa.run(m, stops, REPLAY_FUEL)
     except isa.PcOutsideSlice as e:
         return e.pc, False
     if final.pc in rc.forbidden:

@@ -53,7 +53,5 @@ def fixture(name):
     return dis, (parse_contract(ctr_text) if ctr_text is not None else None)
 
 
-def fixture_config(name, **overrides) -> EngineConfig:
-    kw = dict(_CONFIGS.get(name, {}))
-    kw.update(overrides)
-    return EngineConfig(**kw)
+def fixture_config(name) -> EngineConfig:
+    return EngineConfig(**_CONFIGS.get(name, {}))

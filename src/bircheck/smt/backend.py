@@ -29,9 +29,9 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .. import bir
-from .minismt import SmtInputError, read_sexprs
 
 
 class SmtError(Exception):
@@ -125,14 +125,12 @@ class SolverConfig:
     argv: list = field(default_factory=default_solver_argv)
     timeout: float | None = 30.0   # seconds; None waits forever, 0 answers unknown
     dump_dir: str | None = None
-    pool: int = 4
+    pool: ClassVar[int] = 4        # threads of `check_many`
     _dump_counter: int = field(default=0, init=False)
 
     def __post_init__(self):
         if self.timeout is not None and not 0 <= self.timeout < math.inf:
             raise ValueError("solver timeout must be a finite number >= 0")
-        if self.pool <= 0:
-            raise ValueError("solver pool size must be positive")
         head = self.argv[0] if self.argv else ""
         if shutil.which(head) is None:
             raise ValueError(f"solver executable {head!r} not found")
@@ -318,6 +316,9 @@ def _parse_value(form):
 def parse_model(text: str) -> dict:
     """Extract name -> value from solver get-model output; ModelParseError
     for anything malformed."""
+    # imported here, not at the top: `python -m bircheck.smt.minismt` imports
+    # this package first, and runpy would then load minismt a second time
+    from .minismt import SmtInputError, read_sexprs
     try:
         forms = read_sexprs(text)
     except SmtInputError as e:
@@ -404,7 +405,7 @@ def check_many(obligations, cfg: SolverConfig | None = None):
     whichever thread finishes first."""
     cfg = cfg or SolverConfig()
     obls = list(obligations)
-    if len(obls) <= 1 or cfg.pool <= 1:
+    if len(obls) <= 1:
         return [check(o, cfg) for o in obls]
     if cfg.dump_dir:
         first = cfg._reserve_dumps(len(obls))

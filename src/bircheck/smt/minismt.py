@@ -1042,6 +1042,8 @@ class Blaster:
 # CDCL SAT solver
 
 class Sat:
+    MAX_CONFLICTS = 5_000_000  # the search gives up (unknown) after this many
+
     def __init__(self, nvars):
         self.nvars = nvars
         self.clauses = []
@@ -1203,7 +1205,7 @@ class Sat:
                 return var
         return 0
 
-    def solve(self, max_conflicts=5_000_000):
+    def solve(self):
         if not self.ok:
             return False
         self._qhead = 0
@@ -1214,7 +1216,7 @@ class Sat:
             confl = self.propagate()
             if confl is not None:
                 conflicts += 1
-                if conflicts > max_conflicts:
+                if conflicts > self.MAX_CONFLICTS:
                     return None
                 if not self.lim:
                     return False

@@ -86,15 +86,18 @@ class SymbolicStructure:
 @dataclass
 class EngineConfig:
     unroll: int = 0
-    max_steps: int = 20_000
-    max_states: int = 4_096
-    abbrev_threshold: int = 64
 
     def __post_init__(self):
         if self.unroll < 0:
             raise ValueError("unroll bound must be >= 0")
-        if self.max_states <= 0 or self.max_steps <= 0 or self.abbrev_threshold <= 0:
-            raise ValueError("engine budgets must be positive")
+
+
+# Budgets of one run, read where they are used at each call, so a test
+# changes one by monkeypatching the module attribute.
+MAX_STEPS = 20_000         # blocks stepped before execution gives up
+MAX_STATES = 4_096         # frontier plus leaves before execution gives up
+ABBREV_THRESHOLD = 64      # node count above which a word or path is abbreviated
+MAX_INDIRECT_TARGETS = 16  # feasible targets of one computed jump
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +342,9 @@ def simplify(sbar: SymbolicState, *, memo=None) -> SymbolicState:
 # ---------------------------------------------------------------------------
 # Abbreviation
 
-def abbreviate(sbar: SymbolicState, gen: SymbolGen,
-               threshold: int = 64) -> SymbolicState:
+def abbreviate(sbar: SymbolicState, gen: SymbolGen) -> SymbolicState:
     """Introduce fresh definition symbols for the word expressions and the
-    path condition above the node-count threshold; expanding the definitions
+    path condition over ABBREV_THRESHOLD nodes; expanding the definitions
     restores the original state.  Memory is never abbreviated: a store chain
     grows linearly, and the simplifier reads it without definitions."""
     abbrevs = list(sbar.abbrevs)
@@ -351,13 +353,13 @@ def abbreviate(sbar: SymbolicState, gen: SymbolGen,
     for v in env:
         e = env[v]
         if v.ty is not bir.Mem and not isinstance(e, Sym) and \
-                bir.node_count(e) > threshold:
+                bir.node_count(e) > ABBREV_THRESHOLD:
             a = gen.fresh_abbrev(e.ty)
             abbrevs.append((a, e))
             env[v] = a
             changed = True
     path = sbar.path
-    if not isinstance(path, (Sym, Const)) and bir.node_count(path) > threshold:
+    if not isinstance(path, (Sym, Const)) and bir.node_count(path) > ABBREV_THRESHOLD:
         a = gen.fresh_abbrev(bir.Imm1)
         abbrevs.append((a, path))
         path = a
@@ -372,10 +374,6 @@ def abbreviate(sbar: SymbolicState, gen: SymbolGen,
 
 def _subst_env(e, env):
     return bir.subst(e, var_map=env)
-
-
-# most feasible targets a computed jump may have before execution gives up
-MAX_INDIRECT_TARGETS = 16
 
 
 def step_block(program, sbar: SymbolicState, solver: SolverConfig | None = None) -> list:
@@ -487,17 +485,16 @@ def execute(program, entry, endpoints, forbidden, precond,
             raise BudgetExhausted(
                 f"label 0x{state.at:x} revisited beyond unroll bound {config.unroll}")
         steps += 1
-        if steps > config.max_steps:
-            raise BudgetExhausted(f"step budget {config.max_steps} exceeded")
+        if steps > MAX_STEPS:
+            raise BudgetExhausted(f"step budget {MAX_STEPS} exceeded")
         labels.add(state.at)
         children = step_block(program, state, solver)
         if len(children) > 1:
             children = prune_infeasible(children, solver)
         children = [simplify(c, memo=memo) for c in children]
-        children = [abbreviate(c, gen, threshold=config.abbrev_threshold)
-                    for c in children]
-        if len(stack) + len(children) + len(leaves) > config.max_states:
-            raise BudgetExhausted(f"state budget {config.max_states} exceeded")
+        children = [abbreviate(c, gen) for c in children]
+        if len(stack) + len(children) + len(leaves) > MAX_STATES:
+            raise BudgetExhausted(f"state budget {MAX_STATES} exceeded")
         nvisits = dict(visits)
         nvisits[state.at] = seen + 1
         for child in sorted(children, key=lambda s: s.at, reverse=True):

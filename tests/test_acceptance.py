@@ -12,11 +12,11 @@ from bircheck.smt import model_check_stats
 from conftest import load_fixture, render_listing, soundness_sample
 
 
-def _verify_fixture(name, solver, **cfg_overrides):
+def _verify_fixture(name, solver):
     sl, prog, lm, rc = load_fixture(name)
     bc = contracts.to_bir(rc, prog)
     t0 = time.perf_counter()
-    res = contracts.verify(bc, fixture_config(name, **cfg_overrides), solver)
+    res = contracts.verify(bc, fixture_config(name), solver)
     return res, time.perf_counter() - t0, (sl, prog, lm, rc)
 
 
@@ -101,7 +101,7 @@ def test_criterion_6_trap_entry_mini(solver):
           f"verified in {dt:.2f}s (< 60s)")
 
 
-def test_criterion_7_scaling_shape(solver, capsys, tmp_path):
+def test_criterion_7_scaling_shape(solver, capsys, tmp_path, monkeypatch):
     # wall-clock bounds on the two named fixtures (symbolic execution time)
     times = {}
     for name, bound in (("swap", 5.0), ("motor", 60.0)):
@@ -121,13 +121,13 @@ def test_criterion_7_scaling_shape(solver, capsys, tmp_path):
     # store-complexity demonstration: doubling the store-chain length at
     # least doubles the leaf memory expression size before abbreviation
     sizes = {}
+    # a threshold far above the chains' tree sizes: nothing is abbreviated
+    monkeypatch.setattr(symexec, "ABBREV_THRESHOLD", 100_000)
     for name in ("store_chain_4", "store_chain_8"):
         sl, prog, lm, rc = load_fixture(name)
         entry = sl.entry
         ends = sl.end_addrs
-        # a threshold far above the chains' tree sizes: nothing is abbreviated
-        cfg = symexec.EngineConfig(abbrev_threshold=100_000)
-        st = symexec.execute(prog, entry, ends, set(), bir.true_exp, cfg, solver)
+        st = symexec.execute(prog, entry, ends, set(), bir.true_exp, solver=solver)
         (leaf,) = st.leaves
         assert leaf.abbrevs == ()
         sizes[name] = bir.node_count(leaf.env[lifter.MEM8])

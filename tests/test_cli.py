@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from bircheck import cli
+from bircheck import cli, symexec
 from bircheck.cli import main
 from bircheck.corpus import asm, fixture
 from bircheck.smt import SolverConfig
@@ -138,11 +138,12 @@ def test_bench_emits_table_and_csv_roundtrip(tmp_path, capsys):
 
 def test_bench_engine_flags_override_fixture_settings(tmp_path, capsys):
     out_csv = tmp_path / "bench.csv"
-    assert main(["bench", "--max-steps", "1", "--csv", str(out_csv)]) == 0
+    assert main(["bench", "--unroll", "1", "--csv", str(out_csv)]) == 0
     with open(out_csv) as f:
         by_name = {r["name"]: r for r in csv.DictReader(f)}
-    assert "step budget 1 exceeded" in by_name["motor"]["error"]
-    assert by_name["incr"]["error"] == ""  # one block: done within one step
+    # isqrt's own bound is 5
+    assert "revisited beyond unroll bound 1" in by_name["isqrt"]["error"]
+    assert by_name["incr"]["error"] == ""  # no loop: the bound does not matter
 
 
 def test_bench_external_corpus_dir(tmp_path, capsys):
@@ -199,18 +200,23 @@ def test_negative_unroll_exits_2(incr_files, capsys):
 
 @pytest.mark.parametrize("flag,dest,default", [
     ("--timeout", "timeout", SolverConfig.timeout),
-    ("--pool", "pool", SolverConfig.pool),
     ("--dump-smt", "smt_dump", SolverConfig.dump_dir),
-    ("--unroll", "unroll", EngineConfig.unroll),
-    ("--max-states", "max_states", EngineConfig.max_states),
-    ("--max-steps", "max_steps", EngineConfig.max_steps),
-    ("--abbrev-threshold", "abbrev_threshold", EngineConfig.abbrev_threshold)])
+    ("--unroll", "unroll", EngineConfig.unroll)])
 def test_flag_defaults_are_the_config_defaults(flag, dest, default):
     for argv in (["verify", "a.dis", "a.ctr"], ["symex", "a.dis"], ["bench"]):
         assert getattr(cli.build_parser().parse_args(argv), dest) == default
     # the module docstring quotes the same default
     line = next(l for l in cli.__doc__.splitlines() if l.strip().startswith(flag + " "))
     assert line.rstrip().endswith(f"({'off' if default is None else default})")
+
+
+def test_engine_constants_are_not_flags(capsys):
+    for flag in ("--max-states", "--max-steps", "--abbrev-threshold", "--pool"):
+        for argv in (["verify", "a.dis", "a.ctr"], ["symex", "a.dis"], ["bench"]):
+            with pytest.raises(SystemExit) as e:
+                main(argv + [flag, "1"])
+            assert e.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_internal_error_exits_4(incr_files, capsys, monkeypatch):
@@ -244,6 +250,16 @@ def test_post_at_non_endpoint_exits_2(incr_files, tmp_path, capsys):
     assert "postcondition at 0x1048d is not an endpoint" in capsys.readouterr().err
 
 
+def test_forbidden_endpoint_exits_2(incr_files, tmp_path, capsys):
+    # it used to run: refuted at the forbidden label, although the post holds there
+    d, c = incr_files
+    both = tmp_path / "both.ctr"
+    both.write_text(open(c).read().replace("endpoints 0x1048c",
+                                           "endpoints 0x1048c\nforbidden 0x1048c"))
+    assert main(["verify", d, str(both)]) == 2
+    assert "0x1048c is both an endpoint and forbidden" in capsys.readouterr().err
+
+
 def test_refutation_leaving_the_slice_replays_and_exits_1(tmp_path, capsys):
     # the taken branch leaves the slice: the refuting leaf is a non-endpoint,
     # and its replay stops there instead of crashing
@@ -258,22 +274,41 @@ def test_refutation_leaving_the_slice_replays_and_exits_1(tmp_path, capsys):
     assert "error:" not in err
 
 
-@pytest.mark.parametrize("threshold", [None, "100000"])
+@pytest.mark.parametrize("threshold", [None, 100000])
 @pytest.mark.parametrize("second_op,want", [("add", 1), ("xor", 0)])
-def test_600_instruction_chain_gets_its_verdict(tmp_path, capsys, threshold,
-                                                second_op, want):
+def test_600_instruction_chain_gets_its_verdict(tmp_path, capsys, monkeypatch,
+                                                threshold, second_op, want):
     # each instruction feeds the next: the default run abbreviates into ~300
     # chained definitions, the high threshold keeps one 600-deep expression
     listing, contract = chain_program(600, second_op)
     d, c = tmp_path / "chain.dis", tmp_path / "chain.ctr"
     d.write_text(listing)
     c.write_text(contract)
-    flags = ["--abbrev-threshold", threshold] if threshold else []
-    assert main(["verify", str(d), str(c)] + flags) == want
+    if threshold:
+        monkeypatch.setattr(symexec, "ABBREV_THRESHOLD", threshold)
+    assert main(["verify", str(d), str(c)]) == want
     out = capsys.readouterr().out
     if want == 1:
         assert "post holds: False" in out
         assert "ab0=" not in out
+
+
+def test_state_budget_stop_is_unknown_and_times_symex(tmp_path, capsys, monkeypatch):
+    # 4 sequential diamonds `bne x<11+k>,zero,+8; addi a0,a0,1`: 16 paths
+    d, c = tmp_path / "dia.dis", tmp_path / "dia.ctr"
+    instrs = [i for k in range(4) for i in (asm.bne(11 + k, 0, 8), asm.addi(10, 10, 1))]
+    d.write_text(asm.listing("dia", 0x10000, instrs + [asm.ret()]))
+    c.write_text("program dia\nentry 0x10000\nendpoints 0x10020\nparams p\npre:\n"
+                 "  gpr[10] == p\n  p <u 0x1000\npost 0x10020:\n  gpr[10] <=u p + 4\n")
+    argv = ["verify", str(d), str(c), "--format", "json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["leaves"] == 16
+    monkeypatch.setattr(symexec, "MAX_STATES", 8)
+    assert main(argv) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "unknown"
+    assert report["reason"] == "budget exhausted: state budget 8 exceeded"
+    assert report["times"]["symex"] > 0
 
 
 def test_refutation_at_a_forbidden_spin_loop_replays_and_exits_1(tmp_path, capsys):

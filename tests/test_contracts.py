@@ -410,6 +410,13 @@ def test_engine_symbol_names_are_rejected_as_parameters(name):
         parse_contract(f"program p\nentry 0x10000\nendpoints 0x10004\nparams {name}\n")
 
 
+@pytest.mark.parametrize("name", ["gpr", "csr", "mem_load_dword", "sext32"])
+def test_predicate_keywords_are_rejected_as_parameters(name):
+    # the parser reads each as an atom, so no use of such a parameter parses
+    with pytest.raises(ContractError, match=f"parameter name '{name}' is a keyword"):
+        parse_contract(f"program p\nentry 0x10000\nendpoints 0x10004\nparams {name}\n")
+
+
 def _solver_time_is_obligation_time(res):
     assert res.obligations
     assert abs(res.times["solver"] - sum(o["seconds"] for o in res.obligations)) < 1e-5

@@ -87,7 +87,7 @@ def test_timeout_zero_is_unknown():
 
 
 @pytest.mark.parametrize("kw", [{"timeout": -1}, {"timeout": float("inf")},
-                                {"timeout": float("nan")}, {"pool": 0},
+                                {"timeout": float("nan")}, {"argv": []},
                                 {"argv": ["no-such-solver-binary"]}])
 def test_solver_config_validates(kw):
     with pytest.raises(ValueError):
@@ -96,7 +96,8 @@ def test_solver_config_validates(kw):
 
 def test_solver_config_fields_are_the_settable_ones():
     assert [f.name for f in dataclasses.fields(SolverConfig) if f.init] == \
-        ["argv", "timeout", "dump_dir", "pool"]
+        ["argv", "timeout", "dump_dir"]
+    assert SolverConfig().pool == 4
 
 
 def test_obligation_kinds_are_feasibility_and_entailment():
@@ -308,7 +309,7 @@ def test_check_many_numbers_dumps_in_input_order(tmp_path):
         e = terms[0]
         obls.append(Obligation("feasibility", (), binpred("ne", e, const(64, i)),
                                origin=f"batch{i}"))
-    cfg = SolverConfig(dump_dir=str(tmp_path), pool=4, timeout=0)
+    cfg = SolverConfig(dump_dir=str(tmp_path), timeout=0)
     assert {v.status for v in check_many(obls, cfg)} == {"unknown"}
     files = sorted(tmp_path.iterdir())
     assert [f.name for f in files] == [f"{i + 1:04d}_feasibility_batch{i}.smt2"
@@ -541,3 +542,14 @@ def test_minismt_answers_unknown_outside_the_fragment(name, monkeypatch):
     assert (proc.stdout, proc.returncode) == ("unknown\n", 1)
     assert any(line.startswith("minismt: ") for line in proc.stderr.splitlines())
     assert "Traceback" not in proc.stderr
+
+
+def test_minismt_runs_as_a_module_without_a_second_load():
+    # `bircheck.smt` must not import minismt: runpy would then execute it a
+    # second time and warn, which -W error turns into exit 1 with no answer
+    env = dict(os.environ, PYTHONPATH=str(Path(bircheck.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "bircheck.smt.minismt"],
+                          input="(declare-const x (_ BitVec 8))(assert (distinct x x))"
+                                "(check-sat)\n",
+                          capture_output=True, text=True, env=env)
+    assert (proc.stdout, proc.returncode, proc.stderr) == ("unsat\n", 0, "")

@@ -185,28 +185,31 @@ def _grow(e, n):
     return e
 
 
-def test_abbreviate_and_expand_roundtrip():
+def test_abbreviate_and_expand_roundtrip(monkeypatch):
+    monkeypatch.setattr(symexec, "ABBREV_THRESHOLD", 8)
     big = _grow(S0, 6)
     st = SymbolicState(path=bir.true_exp, env={X10: big}, at=0)
     gen = SymbolGen()
-    ab = abbreviate(st, gen, threshold=8)
+    ab = abbreviate(st, gen)
     assert isinstance(ab.env[X10], bir.Sym)
     assert dict(ab.abbrevs)[ab.env[X10]] is big
     back = expand_abbrevs(ab)
     assert back.env[X10] is big and back.path is st.path
 
 
-def test_abbreviate_lone_symbol_unchanged():
+def test_abbreviate_lone_symbol_unchanged(monkeypatch):
+    monkeypatch.setattr(symexec, "ABBREV_THRESHOLD", 0)
     st = SymbolicState(path=bir.true_exp, env={X10: S0}, at=0)
-    ab = abbreviate(st, SymbolGen(), threshold=0)
+    ab = abbreviate(st, SymbolGen())
     assert ab.env[X10] is S0 and ab.abbrevs == ()
 
 
-def test_abbreviate_preserves_matches():
+def test_abbreviate_preserves_matches(monkeypatch):
+    monkeypatch.setattr(symexec, "ABBREV_THRESHOLD", 4)
     big = _grow(S0, 5)
     st = SymbolicState(path=binpred("ult", S0, const(64, 100)),
                        env={X10: big}, at=7)
-    ab = abbreviate(st, SymbolGen(), threshold=4)
+    ab = abbreviate(st, SymbolGen())
     rng = random.Random(3)
     for _ in range(50):
         H = {"s0": rng.randrange(0, 200)}
@@ -214,11 +217,12 @@ def test_abbreviate_preserves_matches():
         assert matches(H, st, conc, 7) == matches(H, ab, conc, 7)
 
 
-def test_repeated_abbreviation_roundtrip():
+def test_repeated_abbreviation_roundtrip(monkeypatch):
+    monkeypatch.setattr(symexec, "ABBREV_THRESHOLD", 2)
     st = SymbolicState(path=bir.true_exp, env={X10: _grow(S0, 4)}, at=0)
     gen = SymbolGen()
     for _ in range(3):
-        st2 = abbreviate(st, gen, threshold=2)
+        st2 = abbreviate(st, gen)
         st = st2.with_(env={X10: _grow(st2.env[X10], 4)},
                        abbrevs=st2.abbrevs)
     out = expand_abbrevs(st)
@@ -281,26 +285,24 @@ def test_execute_budget_exhausted_on_loop(solver):
                 EngineConfig(unroll=0), solver)
 
 
-def test_execute_step_budget(solver):
+def test_execute_step_budget(solver, monkeypatch):
+    monkeypatch.setattr(symexec, "MAX_STEPS", 3)
     rng = random.Random(9)
     instrs = [lifter.sample_instr("addi", rng) for _ in range(6)]
     prog = BirProgram([lifter.lift_instr(i, 0xA000 + 4 * k)
                        for k, i in enumerate(instrs)])
     with pytest.raises(symexec.BudgetExhausted, match="step budget 3 exceeded"):
-        execute(prog, 0xA000, {0xA000 + 24}, set(), bir.true_exp,
-                EngineConfig(max_steps=3), solver)
+        execute(prog, 0xA000, {0xA000 + 24}, set(), bir.true_exp, solver=solver)
 
 
-@pytest.mark.parametrize("kw", [{"unroll": -1}, {"max_states": 0},
-                                {"max_steps": 0}, {"abbrev_threshold": 0}])
+@pytest.mark.parametrize("kw", [{"unroll": -1}])
 def test_engine_config_validates(kw):
     with pytest.raises(ValueError):
         EngineConfig(**kw)
 
 
 def test_engine_config_fields_are_the_settable_ones():
-    assert [f.name for f in dataclasses.fields(EngineConfig)] == \
-        ["unroll", "max_steps", "max_states", "abbrev_threshold"]
+    assert [f.name for f in dataclasses.fields(EngineConfig)] == ["unroll"]
 
 
 def test_execute_deterministic(solver):
