@@ -110,24 +110,19 @@ def cmd_verify(args):
 
 def cmd_symex(args):
     engine, solver = engine_config(args), solver_config(args)
-    rc = None
     if args.contract:
         with open(args.contract) as f:
             rc = contracts.parse_contract(f.read())
-        entry, ends = rc.entry, rc.endpoints
     elif args.entry and args.end:
-        entry = _parse_addr(args.entry)
-        ends = {_parse_addr(e) for e in args.end}
+        rc = contracts.trivial_contract(_parse_addr(args.entry),
+                                        {_parse_addr(e) for e in args.end})
     else:
         print("symex needs --entry/--end or --contract", file=sys.stderr)
         return EXIT_INPUT
-    sl = _load_slice(args.disasm, entry, ends)
+    sl = _load_slice(args.disasm, rc.entry, rc.endpoints)
     prog, _ = lifter.lift_slice(sl)
     try:
-        if rc is not None:
-            st = contracts.execute(contracts.to_bir(rc, prog), engine, solver)
-        else:
-            st = symexec.execute(prog, entry, ends, set(), bir.true_exp, engine, solver)
+        st = contracts.execute(contracts.to_bir(rc, prog), engine, solver)
     except symexec.EngineError as e:
         print(f"symbolic execution failed: {e}", file=sys.stderr)
         return EXIT_UNKNOWN
@@ -191,24 +186,18 @@ def cmd_bench(args):
     for name, dis, rc in _bench_targets(args):
         unit = disasm.parse_objdump(dis)
         n_instr = sum(len(instrs) for _, instrs in unit.sections)
-        if rc is not None:
-            entry, ends = rc.entry, rc.endpoints
-        else:
+        if rc is None:
             instrs = list(unit.all_instrs())
             if not instrs:
                 raise disasm.DisasmError(f"{name}.dis has no instructions")
-            entry, ends = instrs[0].address, {instrs[-1].address}
-        sl = disasm.make_slice(unit, entry, ends)
+            rc = contracts.trivial_contract(instrs[0].address, {instrs[-1].address})
+        sl = disasm.make_slice(unit, rc.entry, rc.endpoints)
         prog, _ = lifter.lift_slice(sl)
         config = fixture_config(name) if own_config else engine
-        bc = contracts.to_bir(rc, prog) if rc is not None else None
+        bc = contracts.to_bir(rc, prog)
         t0 = time.perf_counter()
         try:
-            if bc is not None:
-                st = contracts.execute(bc, config, solver)
-            else:
-                st = symexec.execute(prog, entry, ends, set(), bir.true_exp,
-                                     config, solver)
+            st = contracts.execute(bc, config, solver)
             dt = time.perf_counter() - t0
             rows.append({"name": name, "instrs": n_instr, "leaves": len(st.leaves),
                          "seconds": round(dt, 4)})

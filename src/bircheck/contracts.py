@@ -8,8 +8,9 @@ IR expressions over the lifter's variable convention; the translation is
 validated by evaluation equivalence on random states.
 
 Verification runs the symbolic engine with the translated precondition as the
-initial path condition and discharges one entailment obligation per leaf; a
-sat counter-model refutes the contract and replays concretely.
+initial path condition (a forbidden label ends a path as an endpoint does) and
+discharges one obligation per leaf; a sat counter-model refutes the contract
+and replays concretely.
 
 Contract file grammar (line oriented, '#' comments)::
 
@@ -256,6 +257,14 @@ class BirContract:
     post: dict             # label -> imm1 SymExpr (others implicitly false)
 
 
+def trivial_contract(entry, ends) -> RiscvContract:
+    """No parameters, an empty pre and an empty post at each end: executing
+    it is a plain engine run from `entry` to `ends`."""
+    ends = frozenset(ends)
+    return RiscvContract(name=f"0x{entry:x}", entry=entry, endpoints=ends, pre=(),
+                         post=dict.fromkeys(ends, ()), params=())
+
+
 def to_bir(rc: RiscvContract, program: bir.BirProgram) -> BirContract:
     return BirContract(program=program, entry=rc.entry, endpoints=rc.endpoints,
                        forbidden=rc.forbidden, pre=translate(rc.pre),
@@ -270,6 +279,17 @@ _TOKEN_RE = re.compile(r"""
     (?P<name>[A-Za-z_][A-Za-z_0-9.]*) |
     (?P<op><=u|<u|==|>>s|<<|>>|[-+*&^|()\[\],])
 """, re.X)
+
+
+def _number(text, where, base=0):
+    """A literal or address of the contract text: a 64-bit word."""
+    try:
+        n = int(text, base)
+    except ValueError:
+        raise ContractError(f"{where}: bad number {text!r}") from None
+    if not 0 <= n <= M64:
+        raise ContractError(f"{where}: {text} does not fit in 64 bits")
+    return n
 
 
 def _tokenize_expr(text, where):
@@ -356,12 +376,12 @@ class _ExprParser:
         if t == "(":
             return self.parse_nested()
         if t.startswith("0x"):
-            return RConst(int(t, 16))
+            return RConst(_number(t, self.where, 16))
         if t.isdigit():
-            return RConst(int(t))
+            return RConst(_number(t, self.where, 10))
         if t == "gpr":
             self.take("[")
-            idx = int(self.take())
+            idx = _number(self.take(), self.where, 10)
             self.take("]")
             if not 0 <= idx < 32:
                 raise ContractError(f"{self.where}: bad register index {idx}")
@@ -408,13 +428,13 @@ def parse_contract(text: str) -> RiscvContract:
             name = rest.strip()
             section = None
         elif head == "entry":
-            entry = int(rest.strip(), 0)
+            entry = _number(rest.strip(), where)
             section = None
         elif head in ("endpoint", "endpoints"):
-            endpoints += [int(x, 0) for x in rest.split()]
+            endpoints += [_number(x, where) for x in rest.split()]
             section = None
         elif head == "forbidden":
-            forbidden += [int(x, 0) for x in rest.split()]
+            forbidden += [_number(x, where) for x in rest.split()]
             section = None
         elif head in ("param", "params"):
             for p in rest.split():
@@ -429,7 +449,7 @@ def parse_contract(text: str) -> RiscvContract:
             section = ("pre",)
         elif head == "post":
             addr = rest.strip().rstrip(":").strip()
-            section = ("post", int(addr, 0))
+            section = ("post", _number(addr, where))
         elif section is not None:
             cmpv = parse_comparison(line, set(params), where)
             if section[0] == "pre":
@@ -542,9 +562,10 @@ def execute(bc: BirContract, config: symexec.EngineConfig | None = None,
 
 def verify(bc: BirContract, config: symexec.EngineConfig | None = None,
            solver: SolverConfig | None = None) -> VerificationResult:
-    """Symbolically execute under the contract precondition and discharge the
-    postcondition entailment for every leaf, one solver check each; that
-    check also decides any load/store aliasing the simplifier left open."""
+    """Symbolically execute under the contract precondition and discharge one
+    solver check per leaf: post entailment at an endpoint (which also decides
+    any load/store aliasing the simplifier left open), path feasibility at a
+    forbidden label or any other non-endpoint, where `sat` refutes."""
     solver = solver or SolverConfig()
     t_start = time.perf_counter()
     log = []
@@ -577,14 +598,6 @@ def verify(bc: BirContract, config: symexec.EngineConfig | None = None,
         return VerificationResult("unknown", reason=f"{budget}{e}",
                                   times={"total": time.perf_counter() - t_start,
                                          "symex": time.perf_counter() - t0})
-    except symexec.ForbiddenLabelReached as e:
-        t_symex = time.perf_counter() - t0
-        v = discharge(e.state, entailment=False)
-        return VerificationResult("refuted" if v.is_sat else "unknown",
-                                  endpoint=e.label, counterexample=v.model,
-                                  reason="forbidden label reached", obligations=log,
-                                  times={"total": time.perf_counter() - t_start,
-                                         "symex": t_symex, "solver": t_solver})
     t_symex = time.perf_counter() - t0
 
     result = VerificationResult("verified", leaf_count=len(structure.leaves),
@@ -598,9 +611,10 @@ def verify(bc: BirContract, config: symexec.EngineConfig | None = None,
             result.endpoint = leaf.at
             result.counterexample = v.model
             result.reason = (f"postcondition violated at 0x{leaf.at:x}" if at_endpoint
+                             else "forbidden label reached" if leaf.at in bc.forbidden
                              else f"leaf at non-endpoint 0x{leaf.at:x}")
             break
-        # an unsat non-endpoint leaf was kept pessimistically by pruning
+        # an unsat non-endpoint leaf is a path that cannot run
         if not v.is_unsat:
             unknown_reason = (f"solver returned {v.status} for post@0x{leaf.at:x}"
                               if at_endpoint else f"feasibility unknown at 0x{leaf.at:x}")

@@ -6,7 +6,9 @@ and matches a symbolic state against a concrete state when the path condition
 evaluates to true and every variable agrees.  Executing a program produces a
 symbolic structure: the judgment that every concrete execution starting from
 a matched initial state and staying within the visited label set ends in a
-state matched by one of the leaves under the same interpretation.
+state matched by one of the leaves under the same interpretation.  Every path
+ends at a leaf: at an endpoint, at a forbidden label, or where no block is;
+what a leaf means is for the caller (`contracts.verify`) to decide.
 
 The engine applies, under a worklist driver, the rule repertoire:
 block stepping (blocks are assignments ending in a jump or a conditional
@@ -40,13 +42,6 @@ class EngineError(Exception):
 
 class BudgetExhausted(EngineError):
     pass
-
-
-class ForbiddenLabelReached(EngineError):
-    def __init__(self, label, state):
-        super().__init__(f"execution reached forbidden label 0x{label:x}")
-        self.label = label
-        self.state = state
 
 
 class IndirectTargetUnbounded(EngineError):
@@ -405,8 +400,6 @@ def _goto(state, target, solver):
     t_exp = simplify_exp(_subst_env(target, state.env))
     if isinstance(t_exp, Const):
         return [state.with_(at=t_exp.val)]
-    if solver is None:
-        raise IndirectTargetUnbounded("computed jump needs a solver to enumerate targets")
     found = []
     out = []
     defs = state.abbrevs
@@ -442,8 +435,6 @@ def prune_infeasible(states, solver: SolverConfig | None):
     """Drop states whose path condition is unsat; unknown verdicts are kept
     (sound over-approximation)."""
     states = list(states)
-    if solver is None or not states:
-        return states
     obls = [Obligation("feasibility", (), s.path, origin=f"prune@0x{s.at:x}",
                        defs=s.abbrevs) for s in states]
     verdicts = check_many(obls, solver)
@@ -458,10 +449,10 @@ def execute(program, entry, endpoints, forbidden, precond,
             solver: SolverConfig | None = None,
             extra_vars=()) -> SymbolicStructure:
     """Worklist-driven symbolic execution from `entry` until every frontier
-    state sits at an endpoint (or has left the program)."""
+    state is a leaf: at an endpoint or a forbidden label, or out of the
+    program."""
     config = config or EngineConfig()
-    endpoints = frozenset(endpoints)
-    forbidden = frozenset(forbidden)
+    stops = frozenset(endpoints) | frozenset(forbidden)
     initial, gen = init_state(program, entry, precond, extra_vars)
     # simplifier results of this run, keyed by id(node): sound because the
     # rules read only the node and bir._interned keeps every node (so every
@@ -474,9 +465,7 @@ def execute(program, entry, endpoints, forbidden, precond,
     steps = 0
     while stack:
         state, visits = stack.pop()
-        if state.at in forbidden:
-            raise ForbiddenLabelReached(state.at, state)
-        if state.at in endpoints or program.block(state.at) is None:
+        if state.at in stops or program.block(state.at) is None:
             labels.add(state.at)
             leaves.append(state)
             continue

@@ -326,6 +326,33 @@ def test_refutation_at_a_forbidden_spin_loop_replays_and_exits_1(tmp_path, capsy
     assert "error:" not in err
 
 
+def _forbidden_files(tmp_path, pre):
+    # `addi a0,a0,1` twice, then `ret`; the second addi is forbidden
+    d, c = tmp_path / "twice.dis", tmp_path / "twice.ctr"
+    d.write_text(asm.listing("twice", 0x10000,
+                             [asm.addi(10, 10, 1), asm.addi(10, 10, 1), asm.ret()]))
+    c.write_text("program twice\nentry 0x10000\nendpoints 0x10008\n"
+                 f"forbidden 0x10004\npre:\n{pre}post 0x10008:\n")
+    return str(d), str(c)
+
+
+def test_infeasible_path_into_a_forbidden_label_verifies(tmp_path, capsys):
+    # a contradictory pre: no run reaches the forbidden label.  It used to
+    # end the engine there and report unknown
+    d, c = _forbidden_files(tmp_path, "  gpr[10] == 1\n  gpr[10] == 2\n")
+    assert main(["verify", d, c, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "verified" and report["leaves"] == 1
+    assert [o["origin"] for o in report["obligations"]] == ["leaf@0x10004"]
+
+
+def test_symex_lists_a_reachable_forbidden_label_as_a_leaf(tmp_path, capsys):
+    d, c = _forbidden_files(tmp_path, "")
+    assert main(["symex", d, "--contract", c, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [leaf["at"] for leaf in doc["leaves"]] == ["0x10004"]
+
+
 def test_refutation_without_free_inputs_prints_counterexample_and_replay(tmp_path,
                                                                           capsys):
     d, c = tmp_path / "five.dis", tmp_path / "five.ctr"

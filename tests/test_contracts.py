@@ -80,6 +80,25 @@ def test_contract_parser_errors():
                        "  gpr[99] == 0\n")
 
 
+@pytest.mark.parametrize("line,text", [
+    ("entry 0x1048q", "bad number '0x1048q'"),
+    ("endpoints 0x1048c zz", "bad number 'zz'"),
+    ("post 0x1048c zz:", "bad number '0x1048c zz'"),
+    ("pre:\n  gpr[abc] == 0", "bad number 'abc'"),
+    ("pre:\n  gpr[10] <u 0x10000000000000000",
+     "0x10000000000000000 does not fit in 64 bits"),
+    ("pre:\n  gpr[10] == 18446744073709551616",
+     "18446744073709551616 does not fit in 64 bits"),
+], ids=["entry", "endpoints", "post", "gpr_index", "hex_too_wide", "decimal_too_wide"])
+def test_contract_parser_rejects_bad_numbers_naming_the_line(line, text):
+    # they used to escape as a bare ValueError with no line, or (above 64
+    # bits) to wrap silently
+    contract = f"program p\nentry 0x10488\nendpoints 0x1048c\n{line}\n"
+    last = len(contract.splitlines())
+    with pytest.raises(ContractError, match=f"line {last}: {re.escape(text)}"):
+        parse_contract(contract)
+
+
 def test_contract_parser_bounds_parenthesis_nesting():
     def contract(depth, opener="("):
         e = opener * depth + "pre_x10" + ")" * depth

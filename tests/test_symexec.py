@@ -272,10 +272,13 @@ def test_execute_diamond_mutually_exclusive_paths(solver):
 
 
 def test_execute_forbidden_label(solver):
+    # a forbidden label ends its path as an endpoint does: its block is not
+    # stepped, so the leaf's x10 is still the value from before the addi
     prog = incr_program()
-    with pytest.raises(symexec.ForbiddenLabelReached) as e:
-        execute(prog, 0x10488, {0x10490}, {0x1048C}, bir.true_exp, solver=solver)
-    assert e.value.label == 0x1048C
+    st = execute(prog, 0x10488, {0x10490}, {0x10488}, bir.true_exp, solver=solver)
+    (leaf,) = st.leaves
+    assert leaf.at == 0x10488
+    assert leaf.env[X10] is sym("s_x10", bir.Imm64)
 
 
 def test_execute_budget_exhausted_on_loop(solver):
