@@ -13,6 +13,8 @@ EngineConfig / SolverConfig field defaults, and both classes validate them:
   --timeout S           per-obligation solver timeout in seconds (30.0)
   --unroll N            loop unroll bound (0)
   --dump-smt DIR        dump every obligation as a .smt2 file (off)
+verify and symex also take --format text|json (text); bench prints its
+table only.
 The step, state and abbreviation budgets and the solver pool size are
 constants: symexec.MAX_STEPS, MAX_STATES, ABBREV_THRESHOLD and
 SolverConfig.pool.
@@ -47,7 +49,6 @@ def add_engine_flags(p):
                    help="per-obligation solver timeout in seconds")
     p.add_argument("--unroll", type=int, default=EngineConfig.unroll,
                    help="loop unroll bound")
-    p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
     p.add_argument("--dump-smt", dest="smt_dump", metavar="DIR",
                    help="dump every obligation as a .smt2 file")
 
@@ -234,6 +235,7 @@ def build_parser():
     vp.add_argument("disasm")
     vp.add_argument("contract")
     add_engine_flags(vp)
+    vp.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
     vp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("symex", help="symbolically execute and dump the structure")
@@ -242,6 +244,7 @@ def build_parser():
     sp.add_argument("--end", action="append")
     sp.add_argument("--contract", help="take entry/endpoints/pre from a contract file")
     add_engine_flags(sp)
+    sp.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
     sp.set_defaults(fn=cmd_symex)
 
     cp = sub.add_parser("check-sim", help="differential lifting test over all "

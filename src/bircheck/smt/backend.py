@@ -123,13 +123,13 @@ def default_solver_argv():
 @dataclass
 class SolverConfig:
     argv: list = field(default_factory=default_solver_argv)
-    timeout: float | None = 30.0   # seconds; None waits forever, 0 answers unknown
+    timeout: float = 30.0          # seconds, finite; 0 answers unknown unasked
     dump_dir: str | None = None
     pool: ClassVar[int] = 4        # threads of `check_many`
     _dump_counter: int = field(default=0, init=False)
 
     def __post_init__(self):
-        if self.timeout is not None and not 0 <= self.timeout < math.inf:
+        if self.timeout is None or not 0 <= self.timeout < math.inf:
             raise ValueError("solver timeout must be a finite number >= 0")
         head = self.argv[0] if self.argv else ""
         if shutil.which(head) is None:
@@ -369,7 +369,7 @@ def check(obl: Obligation, cfg: SolverConfig | None = None, *,
         path = os.path.join(cfg.dump_dir, f"{dump_no:04d}_{obl.kind}_{tag}.smt2")
         with open(path, "w") as f:
             f.write(text)
-    if cfg.timeout is not None and cfg.timeout <= 0:
+    if cfg.timeout <= 0:
         return SolverVerdict("unknown", reason="timeout")
     try:
         proc = subprocess.run(cfg.argv, input=text, capture_output=True,

@@ -10,22 +10,26 @@ state matched by one of the leaves under the same interpretation.  Every path
 ends at a leaf: at an endpoint, at a forbidden label, or where no block is;
 what a leaf means is for the caller (`contracts.verify`) to decide.
 
-The engine applies, under a worklist driver, the rule repertoire:
-block stepping (blocks are assignments ending in a jump or a conditional
-jump, as the lifter builds them) with case analysis on conditional and
-computed jumps, solver-backed pruning of infeasible states, one bottom-up
-simplification pass, and abbreviation of word expressions and the path
-condition above a node-count threshold (memory is never abbreviated).  The
-solver is asked only what decides control flow: which states are feasible
-and where a computed jump may go.  Simplification is a pure rewrite of a
-node, never reading abbreviation definitions, so one run shares one memo of
-its results; it resolves a load over a store chain syntactically, where the
-two addresses are the same base plus constant offsets, and leaves every
-other aliasing question to the solver inside the obligation that needs it.
+The engine applies, under a worklist driver, the rule repertoire, each rule
+a function over states: block stepping (blocks are assignments ending in a
+jump or a conditional jump, as the lifter builds them) with case analysis on
+conditional and computed jumps, solver-backed pruning of infeasible states,
+one bottom-up simplification pass, and abbreviation of word expressions and
+the path condition above a node-count threshold (memory is never
+abbreviated).  The solver is asked only what decides control flow: which
+states are feasible and where a computed jump may go.  A conditional split
+checks its two children itself; each target of a computed jump comes with
+the model that found it, so it needs no second check.  Simplification is a
+pure rewrite of a node, never reading abbreviation definitions, so one run
+shares one memo of its results; it resolves a load over a store chain
+syntactically, where the two addresses are the same base plus constant
+offsets, and leaves every other aliasing question to the solver inside the
+obligation that needs it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, replace
 
@@ -48,27 +52,12 @@ class IndirectTargetUnbounded(EngineError):
     pass
 
 
-class SymbolGen:
-    """Deterministic source of abbreviation symbols ab0, ab1, ..."""
-
-    def __init__(self):
-        self.abbrev_count = 0
-
-    def fresh_abbrev(self, ty):
-        name = f"ab{self.abbrev_count}"
-        self.abbrev_count += 1
-        return sym(name, ty)
-
-
 @dataclass(frozen=True)
 class SymbolicState:
     path: object                 # Imm1 SymExpr
     env: dict                    # BirVar -> SymExpr
     at: int
     abbrevs: tuple = ()          # ((Sym, SymExpr), ...) in introduction order
-
-    def with_(self, **kw):
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -124,12 +113,11 @@ def matches(H, sbar: SymbolicState, concrete_env, at_label) -> bool:
 # ---------------------------------------------------------------------------
 # Initial states
 
-def init_state(program, entry, precond,
-               extra_vars=()) -> tuple[SymbolicState, SymbolGen]:
+def init_state(program, entry, precond, extra_vars=()) -> SymbolicState:
     """Map every program variable (and every one of `extra_vars`) to the
     symbol s_<name> and install the precondition (over those variables) as
-    the path condition; also returns the run's abbreviation-symbol source.
-    Variables are unique by name, so the s_<name> symbols are."""
+    the path condition.  Variables are unique by name, so the s_<name>
+    symbols are."""
     if precond.ty is not bir.Imm1:
         raise bir.TypeMismatch("precondition must be imm1")
     variables = list(program.variables())
@@ -145,7 +133,7 @@ def init_state(program, entry, precond,
     if leftover:
         raise EngineError("precondition mentions variables outside the program: "
                           f"{list(leftover)}")
-    return SymbolicState(path=path, env=env, at=entry), SymbolGen()
+    return SymbolicState(path=path, env=env, at=entry)
 
 
 # ---------------------------------------------------------------------------
@@ -164,184 +152,180 @@ def _split_base(e):
     return e, off & bir.mask(w)
 
 
-class Simplifier:
-    """Fixed rewrite rules applied in one bottom-up pass; each rule returns
-    a node the rules leave alone, so one pass reaches the fixed point.  A
-    load skips or reads a store only when both addresses are the same base
-    plus constant offsets (load-over-store is syntactic).  The rules read
-    nothing but the node, so a node's result is the same in every state."""
+# The rewrite rules, applied in one bottom-up pass (`bir.fold`); each rule
+# returns a node the rules leave alone, so one pass reaches the fixed point.
+# A load skips or reads a store only when both addresses are the same base
+# plus constant offsets (load-over-store is syntactic).  The rules read
+# nothing but the node, so a node's result is the same in every state.
 
-    def simplify(self, e, memo=None):
-        return bir.fold(e, self._rule, memo)
+def _rule(e, kv):
+    """One bottom-up rewrite of `e` over its simplified children `kv`."""
+    if not kv:
+        return e
+    if isinstance(e, UnOp):
+        return _rule_unop(e.op, *kv)
+    if isinstance(e, BinOp):
+        return _rule_binop(e.op, *kv)
+    if isinstance(e, BinPred):
+        return _rule_pred(e.op, *kv)
+    if isinstance(e, Ite):
+        return _rule_ite(*kv)
+    if isinstance(e, Cast):
+        return _rule_cast(e.kind, e.ty.width, *kv)
+    if isinstance(e, Load):
+        return _rule_load(*kv, e.width)
+    return _rule_store(*kv)
 
-    def _rule(self, e, kv):
-        """One bottom-up rewrite of `e` over its simplified children `kv`."""
-        if not kv:
-            return e
-        if isinstance(e, UnOp):
-            return self._rule_unop(e.op, *kv)
-        if isinstance(e, BinOp):
-            return self._rule_binop(e.op, *kv)
-        if isinstance(e, BinPred):
-            return self._rule_pred(e.op, *kv)
-        if isinstance(e, Ite):
-            return self._rule_ite(*kv)
-        if isinstance(e, Cast):
-            return self._rule_cast(e.kind, e.ty.width, *kv)
-        if isinstance(e, Load):
-            return self._rule_load(*kv, e.width)
-        return self._rule_store(*kv)
 
-    # -- local rules ---------------------------------------------------------
+def _rule_unop(op, a):
+    if isinstance(a, Const):
+        return const(a.ty.width, bir.eval_exp(unop(op, a), {}))
+    if isinstance(a, UnOp) and a.op == op:
+        return a.a
+    return unop(op, a)
 
-    def _rule_unop(self, op, a):
-        if isinstance(a, Const):
-            return const(a.ty.width, bir.eval_exp(unop(op, a), {}))
-        if isinstance(a, UnOp) and a.op == op:
-            return a.a
-        return unop(op, a)
 
-    def _rule_binop(self, op, a, b):
-        w = a.ty.width
-        if isinstance(a, Const) and isinstance(b, Const):
-            return const(w, bir._binop_val(op, a.val, b.val, w))
-        zero = const(w, 0)
-        ones = const(w, bir.mask(w))
-        if op in ("plus", "mult", "and", "or", "xor") and isinstance(a, Const):
-            a, b = b, a  # constants to the right
-        if op == "plus":
-            if b is zero:
-                return a
-            if isinstance(b, Const) and isinstance(a, BinOp) and isinstance(a.b, Const):
-                if a.op == "plus":
-                    return self._rule_binop("plus", a.a, const(w, a.b.val + b.val))
-                if a.op == "minus":
-                    return self._rule_binop("plus", a.a, const(w, b.val - a.b.val))
-        elif op == "minus":
-            if b is zero:
-                return a
-            if a is b:
-                return zero
-            if isinstance(b, Const):
-                return self._rule_binop("plus", a, const(w, -b.val))
-        elif op == "xor":
-            if a is b:
-                return zero
-            if b is zero:
-                return a
-        elif op == "and":
-            if a is b or b is ones:
-                return a
-            if b is zero:
-                return zero
-        elif op == "or":
-            if a is b or b is zero:
-                return a
-            if b is ones:
-                return ones
-        elif op == "mult":
-            if b is zero:
-                return zero
-            if isinstance(b, Const) and b.val == 1:
-                return a
-        elif op == "udiv":
-            if isinstance(b, Const) and b.val == 1:
-                return a
-        elif op in ("shl", "lshr", "ashr"):
-            if b is zero:
-                return a
-            if isinstance(b, Const) and b.val >= w and op in ("shl", "lshr"):
-                return zero
-        return binop(op, a, b)
-
-    def _rule_pred(self, op, a, b):
-        if isinstance(a, Const) and isinstance(b, Const):
-            return const(1, bir.eval_exp(binpred(op, a, b), {}))
-        if a is b:
-            return bir.true_exp if op in ("eq", "ule") else bir.false_exp
-        if a.ty is not bir.Mem and op in ("eq", "ne"):
-            ba, oa = _split_base(a)
-            bb, ob = _split_base(b)
-            if ba is bb and ba is not None:
-                same = oa == ob
-                return bir.true_exp if same == (op == "eq") else bir.false_exp
-        return binpred(op, a, b)
-
-    def _rule_ite(self, c, t, f):
-        if isinstance(c, Const):
-            return t if c.val == 1 else f
-        if t is f:
-            return t
-        return ite(c, t, f)
-
-    def _rule_cast(self, kind, width, a):
-        if a.ty.width == width:
+def _rule_binop(op, a, b):
+    w = a.ty.width
+    if isinstance(a, Const) and isinstance(b, Const):
+        return const(w, bir._binop_val(op, a.val, b.val, w))
+    zero = const(w, 0)
+    ones = const(w, bir.mask(w))
+    if op in ("plus", "mult", "and", "or", "xor") and isinstance(a, Const):
+        a, b = b, a  # constants to the right
+    if op == "plus":
+        if b is zero:
             return a
-        if isinstance(a, Const):
-            return const(width, bir.eval_exp(cast(kind, width, a), {}))
-        if isinstance(a, Cast):
-            if kind == "low" and a.kind == "low":
-                return self._rule_cast("low", width, a.a)
-            if kind == a.kind and kind in ("zext", "sext"):
-                return self._rule_cast(kind, width, a.a)
-            if kind == "low" and a.kind in ("zext", "sext") and width <= a.a.ty.width:
-                return self._rule_cast("low", width, a.a)
-        return cast(kind, width, a)
+        if isinstance(b, Const) and isinstance(a, BinOp) and isinstance(a.b, Const):
+            if a.op == "plus":
+                return _rule_binop("plus", a.a, const(w, a.b.val + b.val))
+            if a.op == "minus":
+                return _rule_binop("plus", a.a, const(w, b.val - a.b.val))
+    elif op == "minus":
+        if b is zero:
+            return a
+        if a is b:
+            return zero
+        if isinstance(b, Const):
+            return _rule_binop("plus", a, const(w, -b.val))
+    elif op == "xor":
+        if a is b:
+            return zero
+        if b is zero:
+            return a
+    elif op == "and":
+        if a is b or b is ones:
+            return a
+        if b is zero:
+            return zero
+    elif op == "or":
+        if a is b or b is zero:
+            return a
+        if b is ones:
+            return ones
+    elif op == "mult":
+        if b is zero:
+            return zero
+        if isinstance(b, Const) and b.val == 1:
+            return a
+    elif op == "udiv":
+        if isinstance(b, Const) and b.val == 1:
+            return a
+    elif op in ("shl", "lshr", "ashr"):
+        if b is zero:
+            return a
+        if isinstance(b, Const) and b.val >= w and op in ("shl", "lshr"):
+            return zero
+    return binop(op, a, b)
 
-    # -- memory rules ----------------------------------------------------------
 
-    def _rule_load(self, mem, addr, width):
-        nbytes = width // 8
-        bb, ob = _split_base(addr)
-        while isinstance(mem, Store):
-            sa, sv = mem.addr, mem.value
-            sbytes = sv.ty.width // 8
-            ba, oa = _split_base(sa)
-            if ba is not bb:
-                break  # aliasing not decided syntactically: left to the solver
-            delta = (ob - oa) & bir.mask(64)
-            if delta == 0 and sbytes == nbytes:
-                return sv
-            if delta < sbytes and delta + nbytes <= sbytes:  # contained
-                v = sv
-                if delta:
-                    v = self._rule_binop("lshr", v, const(sv.ty.width, 8 * delta))
-                return self._rule_cast("low", width, v)
-            if delta < sbytes or ((oa - ob) & bir.mask(64)) < nbytes:
-                break  # partial overlap
-            mem = mem.mem  # disjoint: skip the store
-        return load(mem, addr, width)
-
-    def _rule_store(self, mem, addr, value):
-        if isinstance(mem, Store) and mem.addr is addr and \
-                mem.value.ty.width == value.ty.width:
-            return store(mem.mem, addr, value)
-        return store(mem, addr, value)
+def _rule_pred(op, a, b):
+    if isinstance(a, Const) and isinstance(b, Const):
+        return const(1, bir.eval_exp(binpred(op, a, b), {}))
+    if a is b:
+        return bir.true_exp if op in ("eq", "ule") else bir.false_exp
+    if a.ty is not bir.Mem and op in ("eq", "ne"):
+        ba, oa = _split_base(a)
+        bb, ob = _split_base(b)
+        if ba is bb and ba is not None:
+            same = oa == ob
+            return bir.true_exp if same == (op == "eq") else bir.false_exp
+    return binpred(op, a, b)
 
 
-_SIMPLIFIER = Simplifier()
+def _rule_ite(c, t, f):
+    if isinstance(c, Const):
+        return t if c.val == 1 else f
+    if t is f:
+        return t
+    return ite(c, t, f)
+
+
+def _rule_cast(kind, width, a):
+    if a.ty.width == width:
+        return a
+    if isinstance(a, Const):
+        return const(width, bir.eval_exp(cast(kind, width, a), {}))
+    if isinstance(a, Cast):
+        if kind == "low" and a.kind == "low":
+            return _rule_cast("low", width, a.a)
+        if kind == a.kind and kind in ("zext", "sext"):
+            return _rule_cast(kind, width, a.a)
+        if kind == "low" and a.kind in ("zext", "sext") and width <= a.a.ty.width:
+            return _rule_cast("low", width, a.a)
+    return cast(kind, width, a)
+
+
+def _rule_load(mem, addr, width):
+    nbytes = width // 8
+    bb, ob = _split_base(addr)
+    while isinstance(mem, Store):
+        sa, sv = mem.addr, mem.value
+        sbytes = sv.ty.width // 8
+        ba, oa = _split_base(sa)
+        if ba is not bb:
+            break  # aliasing not decided syntactically: left to the solver
+        delta = (ob - oa) & bir.mask(64)
+        if delta == 0 and sbytes == nbytes:
+            return sv
+        if delta < sbytes and delta + nbytes <= sbytes:  # contained
+            v = sv
+            if delta:
+                v = _rule_binop("lshr", v, const(sv.ty.width, 8 * delta))
+            return _rule_cast("low", width, v)
+        if delta < sbytes or ((oa - ob) & bir.mask(64)) < nbytes:
+            break  # partial overlap
+        mem = mem.mem  # disjoint: skip the store
+    return load(mem, addr, width)
+
+
+def _rule_store(mem, addr, value):
+    if isinstance(mem, Store) and mem.addr is addr and \
+            mem.value.ty.width == value.ty.width:
+        return store(mem.mem, addr, value)
+    return store(mem, addr, value)
 
 
 def simplify_exp(e):
-    return _SIMPLIFIER.simplify(e)
+    return bir.fold(e, _rule)
 
 
 def simplify(sbar: SymbolicState, *, memo=None) -> SymbolicState:
     """Rewrite all state expressions; meaning is preserved for every
     interpretation.  `memo` (see `bir.fold`) carries results across calls."""
-    new_env = {v: _SIMPLIFIER.simplify(e, memo) for v, e in sbar.env.items()}
-    new_path = _SIMPLIFIER.simplify(sbar.path, memo)
-    return sbar.with_(path=new_path, env=new_env)
+    new_env = {v: bir.fold(e, _rule, memo) for v, e in sbar.env.items()}
+    return replace(sbar, path=bir.fold(sbar.path, _rule, memo), env=new_env)
 
 
 # ---------------------------------------------------------------------------
 # Abbreviation
 
-def abbreviate(sbar: SymbolicState, gen: SymbolGen) -> SymbolicState:
-    """Introduce fresh definition symbols for the word expressions and the
-    path condition over ABBREV_THRESHOLD nodes; expanding the definitions
-    restores the original state.  Memory is never abbreviated: a store chain
-    grows linearly, and the simplifier reads it without definitions."""
+def abbreviate(sbar: SymbolicState, gen) -> SymbolicState:
+    """Introduce fresh definition symbols ab<N>, N drawn from the run's
+    counter `gen`, for the word expressions and the path condition over
+    ABBREV_THRESHOLD nodes; expanding the definitions restores the original
+    state.  Memory is never abbreviated: a store chain grows linearly, and
+    the simplifier reads it without definitions."""
     abbrevs = list(sbar.abbrevs)
     env = dict(sbar.env)
     changed = False
@@ -349,57 +333,56 @@ def abbreviate(sbar: SymbolicState, gen: SymbolGen) -> SymbolicState:
         e = env[v]
         if v.ty is not bir.Mem and not isinstance(e, Sym) and \
                 bir.node_count(e) > ABBREV_THRESHOLD:
-            a = gen.fresh_abbrev(e.ty)
+            a = sym(f"ab{next(gen)}", e.ty)
             abbrevs.append((a, e))
             env[v] = a
             changed = True
     path = sbar.path
     if not isinstance(path, (Sym, Const)) and bir.node_count(path) > ABBREV_THRESHOLD:
-        a = gen.fresh_abbrev(bir.Imm1)
+        a = sym(f"ab{next(gen)}", bir.Imm1)
         abbrevs.append((a, path))
         path = a
         changed = True
     if not changed:
         return sbar
-    return sbar.with_(env=env, path=path, abbrevs=tuple(abbrevs))
+    return replace(sbar, env=env, path=path, abbrevs=tuple(abbrevs))
 
 
 # ---------------------------------------------------------------------------
 # Stepping
 
-def _subst_env(e, env):
-    return bir.subst(e, var_map=env)
-
-
 def step_block(program, sbar: SymbolicState, solver: SolverConfig | None = None) -> list:
-    """Symbolically execute the block at sbar.at.  Conditional jumps split the
-    state; computed jumps are resolved by case analysis over solver-enumerated
-    feasible constant targets."""
+    """Symbolically execute the block at sbar.at.  A conditional jump on a
+    symbolic condition splits the state and drops the sides the solver finds
+    infeasible; a computed jump is resolved by case analysis over
+    solver-enumerated feasible constant targets, each already shown feasible
+    by the model that found it."""
     block = program.block(sbar.at)
     if block is None:
         raise EngineError(f"no block at 0x{sbar.at:x}")
     env = dict(sbar.env)
     for st in block.statements:
-        env[st.var] = _subst_env(st.exp, env)
-    base = sbar.with_(env=env)
+        env[st.var] = bir.subst(st.exp, var_map=env)
+    base = replace(sbar, env=env)
     end = block.end
 
     if isinstance(end, bir.Jmp):
         return _goto(base, end.target, solver)
-    cond = simplify_exp(_subst_env(end.cond, env))
+    cond = simplify_exp(bir.subst(end.cond, var_map=env))
     if isinstance(cond, Const):
-        return [base.with_(at=end.target_true if cond.val == 1 else end.target_false)]
-    return [base.with_(path=binop("and", sbar.path, cond), at=end.target_true),
-            base.with_(path=binop("and", sbar.path, unop("not", cond)),
-                       at=end.target_false)]
+        return [replace(base, at=end.target_true if cond.val == 1 else end.target_false)]
+    taken = replace(base, path=binop("and", sbar.path, cond), at=end.target_true)
+    not_taken = replace(base, path=binop("and", sbar.path, unop("not", cond)),
+                        at=end.target_false)
+    return prune_infeasible([taken, not_taken], solver)
 
 
 def _goto(state, target, solver):
     if not isinstance(target, bir.BirExp):
-        return [state.with_(at=target)]
-    t_exp = simplify_exp(_subst_env(target, state.env))
+        return [replace(state, at=target)]
+    t_exp = simplify_exp(bir.subst(target, var_map=state.env))
     if isinstance(t_exp, Const):
-        return [state.with_(at=t_exp.val)]
+        return [replace(state, at=t_exp.val)]
     found = []
     out = []
     defs = state.abbrevs
@@ -420,9 +403,9 @@ def _goto(state, target, solver):
             Hx.setdefault(name, {} if s.ty is bir.Mem else 0)
         c = bir.eval_exp(t_closed, {}, Hx)
         found.append(c)
-        out.append(state.with_(path=binop("and", state.path,
-                                          binpred("eq", t_exp, const(64, c))),
-                               at=c))
+        out.append(replace(state, path=binop("and", state.path,
+                                             binpred("eq", t_exp, const(64, c))),
+                           at=c))
     raise IndirectTargetUnbounded(
         f"computed jump at 0x{state.at:x} has more than {MAX_INDIRECT_TARGETS} "
         "feasible targets")
@@ -453,7 +436,8 @@ def execute(program, entry, endpoints, forbidden, precond,
     program."""
     config = config or EngineConfig()
     stops = frozenset(endpoints) | frozenset(forbidden)
-    initial, gen = init_state(program, entry, precond, extra_vars)
+    initial = init_state(program, entry, precond, extra_vars)
+    gen = itertools.count()  # abbreviation symbols ab0, ab1, ... of this run
     # simplifier results of this run, keyed by id(node): sound because the
     # rules read only the node and bir._interned keeps every node (so every
     # id) alive; never shared across runs
@@ -478,8 +462,6 @@ def execute(program, entry, endpoints, forbidden, precond,
             raise BudgetExhausted(f"step budget {MAX_STEPS} exceeded")
         labels.add(state.at)
         children = step_block(program, state, solver)
-        if len(children) > 1:
-            children = prune_infeasible(children, solver)
         children = [simplify(c, memo=memo) for c in children]
         children = [abbreviate(c, gen) for c in children]
         if len(stack) + len(children) + len(leaves) > MAX_STATES:

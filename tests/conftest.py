@@ -52,15 +52,17 @@ def chain_program(n, second_op):
 
 
 def load_fixture(name):
-    """(slice, program, liftmap, contract) for a corpus fixture."""
+    """(slice, program, liftmap, contract) for a corpus fixture; without a
+    contract the slice runs from the listing's first to its last
+    instruction, as `bircheck bench` takes it."""
     dis, rc = fixture(name)
     unit = disasm.parse_objdump(dis)
     if rc is None:
         instrs = list(unit.all_instrs())
-        sl = disasm.make_slice(unit, instrs[0].address, {instrs[-1].address})
-        prog, lm = lifter.lift_slice(sl)
-        return sl, prog, lm, None
-    sl = disasm.make_slice(unit, rc.entry, rc.endpoints)
+        entry, ends = instrs[0].address, {instrs[-1].address}
+    else:
+        entry, ends = rc.entry, rc.endpoints
+    sl = disasm.make_slice(unit, entry, ends)
     prog, lm = lifter.lift_slice(sl)
     return sl, prog, lm, rc
 

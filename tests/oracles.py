@@ -5,6 +5,8 @@ them; the tests hold the engine, the lifter and the corpus against them."""
 
 from __future__ import annotations
 
+import dataclasses
+
 from bircheck import bir
 from bircheck.bir import BirError, CJmp, Den, TypeMismatch, exec_block, fold
 from bircheck.symexec import SymbolicState
@@ -68,7 +70,8 @@ def type_of(exp, var_types=None):
 def expand_abbrevs(sbar: SymbolicState) -> SymbolicState:
     """Substitute all abbreviation definitions back into the state."""
     *vals, path = bir.inline_defs([*sbar.env.values(), sbar.path], sbar.abbrevs)
-    return sbar.with_(env=dict(zip(sbar.env, vals)), path=path, abbrevs=())
+    return dataclasses.replace(sbar, env=dict(zip(sbar.env, vals)), path=path,
+                               abbrevs=())
 
 
 # Pseudo-instruction mnemonics objdump may print for supported encodings.

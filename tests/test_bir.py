@@ -495,13 +495,12 @@ def _ref_print(e):
 def _ref_simplify(e, passes=3):
     """The simplifier's rules driven by a memoised recursive walk, repeated
     until nothing changes (at most `passes` times)."""
-    from bircheck.symexec import Simplifier
-    sim = Simplifier()
+    from bircheck.symexec import _rule
 
     def walk(e, memo):
         if id(e) not in memo:
             kids = [walk(k, memo) for k in _children(e)]
-            memo[id(e)] = sim._rule(e, kids)
+            memo[id(e)] = _rule(e, kids)
         return memo[id(e)]
 
     for _ in range(passes):

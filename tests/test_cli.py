@@ -219,6 +219,14 @@ def test_engine_constants_are_not_flags(capsys):
             assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_bench_has_no_format_flag(capsys):
+    # bench prints only its table, so it rejects --format rather than ignore it
+    with pytest.raises(SystemExit) as e:
+        main(["bench", "--format", "json"])
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_internal_error_exits_4(incr_files, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")

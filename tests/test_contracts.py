@@ -333,6 +333,21 @@ def test_report_lists_every_solver_check(name, solver, monkeypatch):
     assert len(made) == len(res.obligations)
 
 
+def test_computed_jump_targets_are_not_checked_twice(solver, monkeypatch):
+    # `jalr x0,0(ra)` with ra one of 0x200, 0x204: two sat enumeration checks
+    # find the targets and an unsat one closes the list; each target's model
+    # already shows its state feasible, so no prune check follows
+    rc = parse_contract("program two_targets\nentry 0x100\nendpoints 0x200 0x204\n"
+                        "pre:\n  gpr[1] - 0x200 <u 8\n  gpr[1] & 3 == 0\n"
+                        "post 0x200:\npost 0x204:\n")
+    prog = bir.BirProgram([lifter.lift_instr(isa.Instr("jalr", rd=0, rs1=1, imm=0),
+                                             0x100)])
+    made = _count_checks(monkeypatch)
+    st = contracts.execute(to_bir(rc, prog), solver=solver)
+    assert [leaf.at for leaf in st.leaves] == [0x200, 0x204]
+    assert [o.origin for o in made] == ["indirect@0x100"] * 3
+
+
 def _save_restore(slots, pre_frame="gpr[5]", post_regs=None):
     """(slice, contract) for a program that stores x10.. to 8-byte slots at
     x5 and loads them back into x18.. from the same slots at x6; the

@@ -88,7 +88,8 @@ def test_timeout_zero_is_unknown():
 
 @pytest.mark.parametrize("kw", [{"timeout": -1}, {"timeout": float("inf")},
                                 {"timeout": float("nan")}, {"argv": []},
-                                {"argv": ["no-such-solver-binary"]}])
+                                {"argv": ["no-such-solver-binary"]},
+                                {"timeout": None}])  # no wait without a bound
 def test_solver_config_validates(kw):
     with pytest.raises(ValueError):
         SolverConfig(**kw)

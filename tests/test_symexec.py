@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from bircheck import bir, contracts, isa, lifter, symexec
 from bircheck.bir import (BirBlock, BirProgram, BirVar, Assign, CJmp, Jmp,
                           binop, binpred, const, den, load, store, sym)
 from bircheck.lifter import MEM8, xvar
-from bircheck.symexec import (EngineConfig, SymbolGen, SymbolicState, abbreviate,
+from bircheck.symexec import (EngineConfig, SymbolicState, abbreviate,
                               execute, init_state, matches,
                               prune_infeasible, simplify_exp, step_block)
 
@@ -30,30 +31,30 @@ def test_matches_direct_definition():
     assert not matches({"s0": 41}, st, {X10: 40}, 0x10488)
     assert not matches({"s0": 41}, st, {X10: 41}, 0x1048C)
     # false path condition never matches
-    st2 = st.with_(path=bir.false_exp)
+    st2 = dataclasses.replace(st, path=bir.false_exp)
     assert not matches({"s0": 41}, st2, {X10: 41}, 0x10488)
 
 
 def test_init_state_fresh_symbols_and_path():
     prog = incr_program()
     pre = binpred("eq", den(X10), PRE)
-    st, gen = init_state(prog, 0x10488, pre)
+    st = init_state(prog, 0x10488, pre)
     assert st.env[X10] == sym("s_x10", bir.Imm64)
     assert st.path == binpred("eq", sym("s_x10", bir.Imm64), PRE)
     assert st.at == 0x10488
     # deterministic: a second run yields identical names
-    st2, _ = init_state(prog, 0x10488, pre)
+    st2 = init_state(prog, 0x10488, pre)
     assert st2.env == st.env and st2.path == st.path
 
 
 def test_init_state_trivial_precondition():
-    st, _ = init_state(incr_program(), 0x10488, bir.true_exp)
+    st = init_state(incr_program(), 0x10488, bir.true_exp)
     assert st.path is bir.true_exp
 
 
 def test_step_block_incr():
     prog = incr_program()
-    st, _ = init_state(prog, 0x10488, binpred("eq", den(X10), PRE))
+    st = init_state(prog, 0x10488, binpred("eq", den(X10), PRE))
     (nxt,) = step_block(prog, st)
     assert nxt.at == 0x1048C
     assert nxt.env[X10] == binop("plus", sym("s_x10", bir.Imm64), const(64, 1))
@@ -62,7 +63,7 @@ def test_step_block_incr():
 def test_step_block_constant_condition_prunes_syntactically():
     blk = BirBlock(0x100, "", (), CJmp(bir.true_exp, 0x104, 0x108))
     prog = BirProgram([blk])
-    st, _ = init_state(prog, 0x100, bir.true_exp)
+    st = init_state(prog, 0x100, bir.true_exp)
     out = step_block(prog, st)
     assert [s.at for s in out] == [0x104]
 
@@ -72,7 +73,7 @@ def test_step_block_computed_jump_with_unique_model(solver):
                                          0x1048C)])
     x1 = xvar(1)
     pre = binpred("eq", den(x1), const(64, 0x10500))
-    st, _ = init_state(prog, 0x1048C, pre)
+    st = init_state(prog, 0x1048C, pre)
     out = step_block(prog, st, solver)
     assert [s.at for s in out] == [0x10500]
 
@@ -81,7 +82,7 @@ def test_step_block_indirect_unbounded(solver, monkeypatch):
     monkeypatch.setattr(symexec, "MAX_INDIRECT_TARGETS", 3)
     prog = BirProgram([lifter.lift_instr(isa.Instr("jalr", rd=0, rs1=1, imm=0),
                                          0x1048C)])
-    st, _ = init_state(prog, 0x1048C, bir.true_exp)
+    st = init_state(prog, 0x1048C, bir.true_exp)
     with pytest.raises(symexec.IndirectTargetUnbounded, match="more than 3"):
         step_block(prog, st, solver)
 
@@ -103,7 +104,7 @@ def test_prune_after_branch_with_pinned_value(solver):
     blk = BirBlock(0x100, "", (), CJmp(binpred("eq", den(z), const(64, 0)),
                                        0x104, 0x108))
     prog = BirProgram([blk])
-    st, _ = init_state(prog, 0x100, binpred("eq", den(z), const(64, 5)))
+    st = init_state(prog, 0x100, binpred("eq", den(z), const(64, 5)))
     children = prune_infeasible(step_block(prog, st), solver)
     assert [s.at for s in children] == [0x108]
 
@@ -189,7 +190,7 @@ def test_abbreviate_and_expand_roundtrip(monkeypatch):
     monkeypatch.setattr(symexec, "ABBREV_THRESHOLD", 8)
     big = _grow(S0, 6)
     st = SymbolicState(path=bir.true_exp, env={X10: big}, at=0)
-    gen = SymbolGen()
+    gen = itertools.count()
     ab = abbreviate(st, gen)
     assert isinstance(ab.env[X10], bir.Sym)
     assert dict(ab.abbrevs)[ab.env[X10]] is big
@@ -200,7 +201,7 @@ def test_abbreviate_and_expand_roundtrip(monkeypatch):
 def test_abbreviate_lone_symbol_unchanged(monkeypatch):
     monkeypatch.setattr(symexec, "ABBREV_THRESHOLD", 0)
     st = SymbolicState(path=bir.true_exp, env={X10: S0}, at=0)
-    ab = abbreviate(st, SymbolGen())
+    ab = abbreviate(st, itertools.count())
     assert ab.env[X10] is S0 and ab.abbrevs == ()
 
 
@@ -209,7 +210,7 @@ def test_abbreviate_preserves_matches(monkeypatch):
     big = _grow(S0, 5)
     st = SymbolicState(path=binpred("ult", S0, const(64, 100)),
                        env={X10: big}, at=7)
-    ab = abbreviate(st, SymbolGen())
+    ab = abbreviate(st, itertools.count())
     rng = random.Random(3)
     for _ in range(50):
         H = {"s0": rng.randrange(0, 200)}
@@ -220,11 +221,10 @@ def test_abbreviate_preserves_matches(monkeypatch):
 def test_repeated_abbreviation_roundtrip(monkeypatch):
     monkeypatch.setattr(symexec, "ABBREV_THRESHOLD", 2)
     st = SymbolicState(path=bir.true_exp, env={X10: _grow(S0, 4)}, at=0)
-    gen = SymbolGen()
+    gen = itertools.count()
     for _ in range(3):
         st2 = abbreviate(st, gen)
-        st = st2.with_(env={X10: _grow(st2.env[X10], 4)},
-                       abbrevs=st2.abbrevs)
+        st = dataclasses.replace(st2, env={X10: _grow(st2.env[X10], 4)})
     out = expand_abbrevs(st)
     assert not bir.collect_syms(out.env[X10]).keys() - {"s0"}
 
