@@ -4,7 +4,8 @@ A program is an ordered list of labeled blocks; each block is a list of
 assignments ending in a jump (to an address or a computed one) or a
 conditional jump between two addresses: exactly what `lifter.lift_instr`
 builds.  Expressions are fixed-width words (1/8/16/32/64 bit) and a
-byte-granular little-endian memory (64-bit addresses, 8-bit cells).
+byte-granular little-endian memory (64-bit addresses, 8-bit cells), which is
+only loaded from and stored to: no producer compares or chooses memories.
 
 Expression nodes are interned: building the same node twice yields the
 same object, so structural equality is identity and trees share structure as
@@ -23,9 +24,9 @@ Text serialization grammar (one ``(block ...)`` form per block)::
     exp      ::= (constN VALUE)            ; N in 1,8,16,32,64
                | (den NAME) | (sym NAME TYPE)
                | (OP exp exp)              ; + - * udiv & | ^ << >>u >>s
-               | (PRED exp exp)            ; == != <u <=u <s
+               | (PRED exp exp)            ; == != <u <=u <s, words only
                | (not exp) | (chsign exp)
-               | (ite exp exp exp)
+               | (ite exp exp exp)         ; word arms only
                | (low N exp) | (sext N exp) | (zext N exp)
                | (load exp exp N) | (store exp exp exp)
     ADDR     ::= 0xHEX
@@ -305,18 +306,16 @@ def binop(op, a, b):
 def binpred(op, a, b):
     if op not in PRED_OPS:
         raise TypeMismatch(f"unknown predicate {op!r}")
-    if a.ty is not b.ty:
-        raise TypeMismatch(f"{op} operand types differ: {a.ty} vs {b.ty}")
-    if a.ty is Mem and op not in ("eq", "ne"):
-        raise TypeMismatch(f"{op} not defined on memory")
+    if a.ty is Mem or a.ty is not b.ty:
+        raise TypeMismatch(f"{op} compares words of one type, not {a.ty} and {b.ty}")
     return _intern(BinPred, ("p", op, a, b), op, a, b)
 
 
 def ite(cond, then, els):
     if cond.ty is not Imm1:
         raise TypeMismatch("ite condition must be imm1")
-    if then.ty is not els.ty:
-        raise TypeMismatch(f"ite arms differ: {then.ty} vs {els.ty}")
+    if then.ty is Mem or then.ty is not els.ty:
+        raise TypeMismatch(f"ite arms must be one word type, not {then.ty} and {els.ty}")
     return _intern(Ite, ("i", cond, then, els), cond, then, els)
 
 
@@ -528,9 +527,6 @@ def eval_exp(exp, env, interp=None):
             return _binop_val(e.op, kv[0], kv[1], e.ty.width)
         if isinstance(e, BinPred):
             a, b = kv
-            if e.a.ty is Mem:
-                a, b = _norm_mem(a), _norm_mem(b)
-                return int(a == b) if e.op == "eq" else int(a != b)
             if e.op == "slt":
                 w = e.a.ty.width
                 return int(to_signed(a, w) < to_signed(b, w))

@@ -14,7 +14,8 @@ EngineConfig / SolverConfig field defaults, and both classes validate them:
   --unroll N            loop unroll bound (0)
   --dump-smt DIR        dump every obligation as a .smt2 file (off)
 verify and symex also take --format text|json (text); bench prints its
-table only.
+table only, and its --unroll has no default: given, it applies to every
+program; left out, each built-in fixture keeps its own bound (isqrt's 5).
 The step, state and abbreviation budgets and the solver pool size are
 constants: symexec.MAX_STEPS, MAX_STATES, ABBREV_THRESHOLD and
 SolverConfig.pool.
@@ -179,10 +180,8 @@ def _bench_targets(args):
 
 
 def cmd_bench(args):
-    engine, solver = engine_config(args), solver_config(args)
-    # on the built-in corpus, an --unroll left at its default keeps each
-    # fixture's own bound (isqrt's); one that was given wins
-    own_config = not args.corpus_dir and engine.unroll == EngineConfig.unroll
+    solver = solver_config(args)
+    engine = None if args.unroll is None else engine_config(args)
     rows = []
     for name, dis, rc in _bench_targets(args):
         unit = disasm.parse_objdump(dis)
@@ -194,7 +193,7 @@ def cmd_bench(args):
             rc = contracts.trivial_contract(instrs[0].address, {instrs[-1].address})
         sl = disasm.make_slice(unit, rc.entry, rc.endpoints)
         prog, _ = lifter.lift_slice(sl)
-        config = fixture_config(name) if own_config else engine
+        config = engine or (EngineConfig() if args.corpus_dir else fixture_config(name))
         bc = contracts.to_bir(rc, prog)
         t0 = time.perf_counter()
         try:
@@ -258,7 +257,7 @@ def build_parser():
                                                   "(default: built-in corpus)")
     bp.add_argument("--csv", help="also write the table as CSV")
     add_engine_flags(bp)
-    bp.set_defaults(fn=cmd_bench)
+    bp.set_defaults(fn=cmd_bench, unroll=None)  # None: each fixture's own bound
     return p
 
 

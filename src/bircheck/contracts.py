@@ -22,7 +22,7 @@ Contract file grammar (line oriented, '#' comments)::
     pre:
       <comparison>            ; one conjunct per line
       ...
-    post <addr>:              ; <addr> must be one of the endpoints
+    post <addr>:              ; one of the endpoints; a missing post is true
       <comparison>
       ...
 
@@ -231,14 +231,13 @@ class RiscvContract:
     entry: int
     endpoints: frozenset
     pre: Predicate
-    post: dict            # endpoint -> Predicate
+    post: dict            # endpoint -> Predicate; an endpoint left out gets ()
     params: tuple         # of Param
     forbidden: frozenset = frozenset()
 
     def __post_init__(self):
-        for ep in self.endpoints:
-            if ep not in self.post:
-                raise ContractError(f"endpoint 0x{ep:x} has no postcondition")
+        missing = sorted(self.endpoints - self.post.keys())
+        self.post = {**self.post, **dict.fromkeys(missing, ())}
         for a in self.post:
             if a not in self.endpoints:
                 raise ContractError(f"postcondition at 0x{a:x} is not an endpoint")
@@ -260,9 +259,8 @@ class BirContract:
 def trivial_contract(entry, ends) -> RiscvContract:
     """No parameters, an empty pre and an empty post at each end: executing
     it is a plain engine run from `entry` to `ends`."""
-    ends = frozenset(ends)
-    return RiscvContract(name=f"0x{entry:x}", entry=entry, endpoints=ends, pre=(),
-                         post=dict.fromkeys(ends, ()), params=())
+    return RiscvContract(name=f"0x{entry:x}", entry=entry, endpoints=frozenset(ends),
+                         pre=(), post={}, params=())
 
 
 def to_bir(rc: RiscvContract, program: bir.BirProgram) -> BirContract:
@@ -333,9 +331,10 @@ class _ExprParser:
 
     def parse_cmp(self):
         a = self.parse_expr()
-        op = self.take()
+        op = self.peek()
         if op not in self.CMPS:
             raise ContractError(f"{self.where}: expected comparison, got {op!r}")
+        self.take()
         b = self.parse_expr()
         if self.peek() is not None:
             raise ContractError(f"{self.where}: trailing tokens {self.toks[self.i:]}")
@@ -460,8 +459,6 @@ def parse_contract(text: str) -> RiscvContract:
             raise ContractError(f"{where}: unexpected line {line!r}")
     if name is None or entry is None or not endpoints:
         raise ContractError("contract needs program, entry and endpoints")
-    for ep in endpoints:
-        post.setdefault(ep, [])
     return RiscvContract(name=name, entry=entry, endpoints=frozenset(endpoints),
                          pre=tuple(pre), post={a: tuple(p) for a, p in post.items()},
                          params=tuple(Param(p) for p in params),
@@ -618,6 +615,7 @@ def verify(bc: BirContract, config: symexec.EngineConfig | None = None,
         if not v.is_unsat:
             unknown_reason = (f"solver returned {v.status} for post@0x{leaf.at:x}"
                               if at_endpoint else f"feasibility unknown at 0x{leaf.at:x}")
+            unknown_reason += f" ({v.reason})"
     if result.verdict == "verified" and unknown_reason:
         result.verdict = "unknown"
         result.reason = unknown_reason

@@ -24,6 +24,7 @@ import math
 import os
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 import threading
@@ -354,6 +355,21 @@ def _verify_model(obl, interp):
                 f"{bir.print_exp(t)}")
 
 
+def _run_solver(argv, text, timeout):
+    """(stdout, stderr) of `argv` fed `text`.  The solver runs in a session of
+    its own, so a timeout or any other exception kills its whole process
+    group, not only the direct child; leaving the `with` reaps the child."""
+    with subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True,
+                          start_new_session=True) as proc:
+        try:
+            return proc.communicate(text, timeout=timeout)
+        except BaseException:
+            if proc.returncode is None:  # not reaped, so its pid still names its group
+                os.killpg(proc.pid, signal.SIGKILL)
+            raise
+
+
 def check(obl: Obligation, cfg: SolverConfig | None = None, *,
           dump_no: int | None = None) -> SolverVerdict:
     """Run the obligation through the configured solver subprocess.  With a
@@ -372,22 +388,20 @@ def check(obl: Obligation, cfg: SolverConfig | None = None, *,
     if cfg.timeout <= 0:
         return SolverVerdict("unknown", reason="timeout")
     try:
-        proc = subprocess.run(cfg.argv, input=text, capture_output=True,
-                              text=True, timeout=cfg.timeout)
+        out, err = _run_solver(cfg.argv, text, cfg.timeout)
     except subprocess.TimeoutExpired:
         return SolverVerdict("unknown", reason="timeout")
     except OSError as e:
         raise SolverCrash(f"cannot run solver {cfg.argv!r}: {e}") from e
-    out = proc.stdout
     first, _, rest = out.partition("\n")
     first = first.strip()
     if first == "unsat":
         return SolverVerdict("unsat")
     if first == "unknown":
-        return SolverVerdict("unknown", reason=(proc.stderr.strip() or "solver returned unknown"))
+        return SolverVerdict("unknown", reason=(err.strip() or "no reason given"))
     if first != "sat":
         raise SolverCrash(f"solver produced no verdict (stdout={out[:200]!r}, "
-                          f"stderr={proc.stderr[:200]!r})")
+                          f"stderr={err[:200]!r})")
     model = parse_model(rest)
     interp = _extend_model(obl, model)
     _count("sat_models_checked")
@@ -405,8 +419,6 @@ def check_many(obligations, cfg: SolverConfig | None = None):
     whichever thread finishes first."""
     cfg = cfg or SolverConfig()
     obls = list(obligations)
-    if len(obls) <= 1:
-        return [check(o, cfg) for o in obls]
     if cfg.dump_dir:
         first = cfg._reserve_dumps(len(obls))
         dump_nos = range(first, first + len(obls))

@@ -115,9 +115,10 @@ def matches(H, sbar: SymbolicState, concrete_env, at_label) -> bool:
 
 def init_state(program, entry, precond, extra_vars=()) -> SymbolicState:
     """Map every program variable (and every one of `extra_vars`) to the
-    symbol s_<name> and install the precondition (over those variables) as
-    the path condition.  Variables are unique by name, so the s_<name>
-    symbols are."""
+    symbol s_<name> and install the precondition as the path condition.  A
+    variable of the precondition outside both stays a program variable,
+    which the solver encoding refuses (`UnsupportedTerm`).  Variables are
+    unique by name, so the s_<name> symbols are."""
     if precond.ty is not bir.Imm1:
         raise bir.TypeMismatch("precondition must be imm1")
     variables = list(program.variables())
@@ -128,11 +129,6 @@ def init_state(program, entry, precond, extra_vars=()) -> SymbolicState:
             names.add(v.name)
     env = {v: sym(f"s_{v.name}", v.ty) for v in variables}
     path = bir.subst(precond, var_map={v: env[v] for v in env})
-    leftover = {}
-    bir._collect_vars(path, leftover)
-    if leftover:
-        raise EngineError("precondition mentions variables outside the program: "
-                          f"{list(leftover)}")
     return SymbolicState(path=path, env=env, at=entry)
 
 
@@ -144,8 +140,8 @@ def _split_base(e):
     means the whole expression is the constant."""
     off = 0
     w = e.ty.width
-    while isinstance(e, BinOp) and e.op in ("plus", "minus") and isinstance(e.b, Const):
-        off = off + e.b.val if e.op == "plus" else off - e.b.val
+    while isinstance(e, BinOp) and e.op == "plus" and isinstance(e.b, Const):
+        off += e.b.val
         e = e.a
     if isinstance(e, Const):
         return None, (e.val + off) & bir.mask(w)
@@ -196,11 +192,9 @@ def _rule_binop(op, a, b):
     if op == "plus":
         if b is zero:
             return a
-        if isinstance(b, Const) and isinstance(a, BinOp) and isinstance(a.b, Const):
-            if a.op == "plus":
-                return _rule_binop("plus", a.a, const(w, a.b.val + b.val))
-            if a.op == "minus":
-                return _rule_binop("plus", a.a, const(w, b.val - a.b.val))
+        if isinstance(b, Const) and isinstance(a, BinOp) and a.op == "plus" and \
+                isinstance(a.b, Const):
+            return _rule_binop("plus", a.a, const(w, a.b.val + b.val))
     elif op == "minus":
         if b is zero:
             return a
@@ -244,7 +238,7 @@ def _rule_pred(op, a, b):
         return const(1, bir.eval_exp(binpred(op, a, b), {}))
     if a is b:
         return bir.true_exp if op in ("eq", "ule") else bir.false_exp
-    if a.ty is not bir.Mem and op in ("eq", "ne"):
+    if op in ("eq", "ne"):
         ba, oa = _split_base(a)
         bb, ob = _split_base(b)
         if ba is bb and ba is not None:
@@ -352,14 +346,13 @@ def abbreviate(sbar: SymbolicState, gen) -> SymbolicState:
 # Stepping
 
 def step_block(program, sbar: SymbolicState, solver: SolverConfig | None = None) -> list:
-    """Symbolically execute the block at sbar.at.  A conditional jump on a
+    """Symbolically execute the block at sbar.at, which must exist (`execute`
+    keeps a state at any other label as a leaf).  A conditional jump on a
     symbolic condition splits the state and drops the sides the solver finds
     infeasible; a computed jump is resolved by case analysis over
     solver-enumerated feasible constant targets, each already shown feasible
     by the model that found it."""
     block = program.block(sbar.at)
-    if block is None:
-        raise EngineError(f"no block at 0x{sbar.at:x}")
     env = dict(sbar.env)
     for st in block.statements:
         env[st.var] = bir.subst(st.exp, var_map=env)

@@ -38,6 +38,18 @@ def test_width_clash_raises():
         load(den(X10), const(64, 0), 64)
 
 
+def test_memory_is_neither_compared_nor_chosen():
+    # no producer builds either, and the bundled solver answers unknown to both
+    m, n = den(M), store(den(M), const(64, 0), const(8, 1))
+    for op in bir.PRED_OPS:
+        with pytest.raises(bir.TypeMismatch, match="compares words"):
+            binpred(op, m, n)
+    with pytest.raises(bir.TypeMismatch, match="ite arms"):
+        ite(const(1, 1), m, n)
+    with pytest.raises(bir.TypeMismatch, match="ite arms"):
+        ite(const(1, 1), m, const(64, 0))
+
+
 def test_type_of_detects_inconsistent_variable_typing():
     other = BirVar("x10", bir.Imm32)
     e = binop("plus", den(X10), const(64, 1))
@@ -415,9 +427,6 @@ def _ref_eval(exp, env, interp=None):
             return bir._binop_val(e.op, ev(e.a), ev(e.b), e.ty.width)
         if isinstance(e, bir.BinPred):
             a, b = ev(e.a), ev(e.b)
-            if e.a.ty is bir.Mem:
-                same = bir.mem_equal(a, b)
-                return int(same) if e.op == "eq" else int(not same)
             w = e.a.ty.width
             return int({"eq": a == b, "ne": a != b, "ult": a < b, "ule": a <= b,
                         "slt": bir.to_signed(a, w) < bir.to_signed(b, w)}[e.op])

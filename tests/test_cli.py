@@ -1,13 +1,16 @@
 import csv
 import json
+import os
+import signal
 import sys
+import time
 
 import pytest
 
 from bircheck import cli, symexec
 from bircheck.cli import main
 from bircheck.corpus import asm, fixture
-from bircheck.smt import SolverConfig
+from bircheck.smt import SolverConfig, backend
 from bircheck.symexec import EngineConfig
 
 from conftest import chain_program
@@ -138,12 +141,13 @@ def test_bench_emits_table_and_csv_roundtrip(tmp_path, capsys):
 
 def test_bench_engine_flags_override_fixture_settings(tmp_path, capsys):
     out_csv = tmp_path / "bench.csv"
-    assert main(["bench", "--unroll", "1", "--csv", str(out_csv)]) == 0
-    with open(out_csv) as f:
-        by_name = {r["name"]: r for r in csv.DictReader(f)}
-    # isqrt's own bound is 5
-    assert "revisited beyond unroll bound 1" in by_name["isqrt"]["error"]
-    assert by_name["incr"]["error"] == ""  # no loop: the bound does not matter
+    for unroll in ("1", "0"):  # 0 too, the value verify and symex default to
+        assert main(["bench", "--unroll", unroll, "--csv", str(out_csv)]) == 0
+        with open(out_csv) as f:
+            by_name = {r["name"]: r for r in csv.DictReader(f)}
+        # isqrt's own bound is 5
+        assert f"revisited beyond unroll bound {unroll}" in by_name["isqrt"]["error"]
+        assert by_name["incr"]["error"] == ""  # no loop: the bound does not matter
 
 
 def test_bench_external_corpus_dir(tmp_path, capsys):
@@ -204,7 +208,9 @@ def test_negative_unroll_exits_2(incr_files, capsys):
     ("--unroll", "unroll", EngineConfig.unroll)])
 def test_flag_defaults_are_the_config_defaults(flag, dest, default):
     for argv in (["verify", "a.dis", "a.ctr"], ["symex", "a.dis"], ["bench"]):
-        assert getattr(cli.build_parser().parse_args(argv), dest) == default
+        # bench leaves --unroll unset, so each fixture keeps its own bound
+        want = None if argv == ["bench"] and dest == "unroll" else default
+        assert getattr(cli.build_parser().parse_args(argv), dest) == want
     # the module docstring quotes the same default
     line = next(l for l in cli.__doc__.splitlines() if l.strip().startswith(flag + " "))
     assert line.rstrip().endswith(f"({'off' if default is None else default})")
@@ -372,3 +378,118 @@ def test_refutation_without_free_inputs_prints_counterexample_and_replay(tmp_pat
     assert "counterexample: {} (no free inputs)" in out
     assert "replay: stops at 0x10004, post holds: False" in out
     assert "error:" not in err
+
+
+# -- solver failure modes --------------------------------------------------------
+
+def _solver_script(tmp_path, body, shebang="#!/bin/sh\n"):
+    """An executable solver that reads the script from stdin, then runs `body`."""
+    path = tmp_path / "solver.sh"
+    path.write_text(shebang + "cat > /dev/null\n" + body)
+    path.chmod(0o755)
+    return str(path)
+
+
+def _running(pid):
+    """Whether `pid` is a live process (a zombie awaiting its reaper is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_solver_unknown_reason_reaches_the_report(incr_files, tmp_path, capsys):
+    d, c = incr_files
+    solver = _solver_script(tmp_path, "echo unknown\necho 'gave up: out of fuel' >&2\n")
+    assert main(["verify", d, c, "--solver", solver]) == 3
+    out = capsys.readouterr().out
+    assert "incr: unknown" in out
+    assert "solver returned unknown for post@0x1048c (gave up: out of fuel)" in out
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_solver_timeout_kills_what_the_solver_started(incr_files, tmp_path, capsys):
+    d, c = incr_files
+    pidfile = tmp_path / "grandchild.pid"
+    solver = _solver_script(tmp_path, f"sleep 30 &\necho $! > {pidfile}\nwait\necho unsat\n")
+    try:
+        assert main(["verify", d, c, "--solver", solver, "--timeout", "0.5"]) == 3
+        assert "solver returned unknown for post@0x1048c (timeout)" in capsys.readouterr().out
+        pid = int(pidfile.read_text())
+        deadline = time.monotonic() + 2.0  # SIGKILL lands at the next scheduling
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _running(pid)
+    finally:
+        if pidfile.exists() and _running(int(pidfile.read_text())):
+            os.kill(int(pidfile.read_text()), signal.SIGKILL)
+
+
+def test_solver_without_interpreter_line_is_a_crash(incr_files, tmp_path, capsys):
+    d, c = incr_files
+    solver = _solver_script(tmp_path, "echo unsat\n", shebang="")
+    assert main(["verify", d, c, "--solver", solver]) == 4
+    err = capsys.readouterr().err
+    assert "error: SolverCrash" in err and "Exec format error" in err
+
+
+def test_solver_model_violating_the_post_is_unsound(incr_files, tmp_path, capsys,
+                                                    monkeypatch):
+    # pre_x10 = x10 = 0 satisfies the pre and the post, so the "counterexample"
+    # is a lie; the module's failure count is restored after the test, so
+    # criterion 8's process-wide zero stays meaningful
+    monkeypatch.setattr(backend, "_stats", {"sat_models_checked": 0, "sat_model_failures": 0})
+    d, c = incr_files
+    model = "((define-fun pre_x10 () (_ BitVec 64) (_ bv0 64)))"
+    solver = _solver_script(tmp_path, f"echo sat\necho '{model}'\n")
+    assert main(["verify", d, c, "--solver", solver]) == 4
+    assert "error: SolverModelUnsound" in capsys.readouterr().err
+    assert backend.model_check_stats() == {"sat_models_checked": 1, "sat_model_failures": 1}
+
+
+# -- engine, contract and text paths ---------------------------------------------
+
+def test_contract_register_the_program_never_touches(incr_files, tmp_path, capsys):
+    # x9 is bound to a symbol only because the contract names it
+    d, c = incr_files
+    text = open(c).read().replace("params pre_x10", "params pre_x10 p")
+    text = text.replace("pre:\n", "pre:\n  gpr[9] == p\n")
+    kept, bumped = tmp_path / "kept.ctr", tmp_path / "bumped.ctr"
+    kept.write_text(text + "  gpr[9] == p\n")
+    bumped.write_text(text + "  gpr[9] == p + 1\n")
+    assert main(["verify", d, str(kept)]) == 0
+    assert "incr: verified" in capsys.readouterr().out
+    assert main(["verify", d, str(bumped)]) == 1
+    out = capsys.readouterr().out
+    assert "postcondition violated at 0x1048c" in out
+    assert "replay: stops at 0x1048c, post holds: False" in out
+
+
+def test_symex_budget_stop_exits_3(tmp_path, capsys):
+    dis, rc = fixture("loopy")
+    from bircheck.contracts import print_contract
+    d, c = tmp_path / "loopy.dis", tmp_path / "loopy.ctr"
+    d.write_text(dis)
+    c.write_text(print_contract(rc))
+    assert main(["symex", str(d), "--contract", str(c)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("symbolic execution failed: ")
+    assert "revisited beyond unroll bound 0" in err
+
+
+def test_lift_prints_conditional_and_computed_jumps(tmp_path, capsys):
+    dis, rc = fixture("isqrt")
+    d = tmp_path / "isqrt.dis"
+    d.write_text(dis)
+    end = f"0x{max(rc.endpoints):x}"
+    assert main(["lift", str(d), "--entry", f"0x{rc.entry:x}", "--end", end]) == 0
+    assert "\n  (cjmp (" in capsys.readouterr().out
+    dis, _ = fixture("incr")
+    d = tmp_path / "incr.dis"
+    d.write_text(dis)
+    # an end past the ret keeps the ret in the slice
+    assert main(["lift", str(d), "--entry", "0x10488", "--end", "0x10490"]) == 0
+    out = capsys.readouterr().out
+    assert '(block 0x1048c "00008067 (ret)"\n  (jmp-ind (& (+ (den x1) ' in out

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 
@@ -64,6 +65,20 @@ def test_contract_parse_print_roundtrip():
     text = print_contract(rc)
     rc2 = parse_contract(text)
     assert rc2 == rc
+    commented = text.replace("pre:\n", "pre:  # one conjunct a line\n# own line\n")
+    assert parse_contract("# a comment line\n" + commented) == rc
+    rc = dataclasses.replace(rc, forbidden=frozenset({0x20000, 0x10}))
+    text = print_contract(rc)
+    assert "\nforbidden 0x10 0x20000\n" in text
+    assert parse_contract(text) == rc
+
+
+def test_endpoints_without_a_post_get_the_true_post():
+    rc = RiscvContract(name="p", entry=0x10, endpoints=frozenset({0x30, 0x14, 0x20}),
+                       pre=(), post={0x20: (RCmp("eq", RGpr(10), RConst(1)),)}, params=())
+    # the given posts first, in their order, then the missing endpoints
+    assert list(rc.post.items()) == [(0x20, (RCmp("eq", RGpr(10), RConst(1)),)),
+                                     (0x14, ()), (0x30, ())]
 
 
 def test_contract_parser_errors():
@@ -89,10 +104,16 @@ def test_contract_parser_errors():
      "0x10000000000000000 does not fit in 64 bits"),
     ("pre:\n  gpr[10] == 18446744073709551616",
      "18446744073709551616 does not fit in 64 bits"),
-], ids=["entry", "endpoints", "post", "gpr_index", "hex_too_wide", "decimal_too_wide"])
+    ("pre:\n  gpr[10] == $", "cannot tokenize '$'"),
+    ("pre:\n  gpr[10]", "expected comparison, got None"),
+    ("pre:\n  gpr[10] == 1 2", "trailing tokens ['2']"),
+    ("pre:\n  csr[foo] == 1", "unsupported csr 'foo'"),
+    ("gpr[10] == 1", "unexpected line 'gpr[10] == 1'"),
+], ids=["entry", "endpoints", "post", "gpr_index", "hex_too_wide", "decimal_too_wide",
+        "untokenizable", "no_comparison", "trailing", "unknown_csr", "unexpected"])
 def test_contract_parser_rejects_bad_numbers_naming_the_line(line, text):
-    # they used to escape as a bare ValueError with no line, or (above 64
-    # bits) to wrap silently
+    # bad numbers used to escape as a bare ValueError with no line, or (above
+    # 64 bits) to wrap silently; the other text errors name their line too
     contract = f"program p\nentry 0x10488\nendpoints 0x1048c\n{line}\n"
     last = len(contract.splitlines())
     with pytest.raises(ContractError, match=f"line {last}: {re.escape(text)}"):

@@ -129,6 +129,34 @@ def test_simplify_add_cancel():
     assert simplify_exp(e) == S0
 
 
+_X8, _X64, _A = (sym("x8", bir.Imm8), sym("x64", bir.Imm64), sym("a", bir.Imm64))
+_MEM = sym("m", bir.Mem)
+_STORED = store(_MEM, _A, bir.cast("low", 8, _X64))
+
+
+@pytest.mark.parametrize("before,after", [
+    (binop("or", _X64, const(64, 2 ** 64 - 1)), const(64, 2 ** 64 - 1)),
+    (binop("udiv", _X64, const(64, 1)), _X64),
+    (binpred("eq", binop("plus", _A, const(64, 8)), binop("plus", _A, const(64, 16))),
+     bir.false_exp),
+    (binpred("ne", binop("plus", _A, const(64, 8)), _A), bir.true_exp),
+    (bir.cast("low", 8, bir.cast("low", 32, _X64)), bir.cast("low", 8, _X64)),
+    (bir.cast("zext", 64, bir.cast("zext", 32, _X8)), bir.cast("zext", 64, _X8)),
+    (bir.cast("sext", 64, bir.cast("sext", 16, _X8)), bir.cast("sext", 64, _X8)),
+    (store(_STORED, _A, bir.cast("low", 8, _A)), store(_MEM, _A, bir.cast("low", 8, _A))),
+], ids=["or_ones", "udiv_one", "same_base_eq", "same_base_ne", "low_low",
+        "zext_zext", "sext_sext", "store_over_store"])
+def test_simplifier_rule_fires_and_keeps_the_value(before, after):
+    assert simplify_exp(before) is after
+    rng = random.Random(53)
+    for _ in range(50):
+        a = rng.getrandbits(64)
+        interp = {"x8": rng.getrandbits(8), "x64": rng.getrandbits(64), "a": a,
+                  "m": {(a + k) % 2 ** 64: rng.getrandbits(8) for k in range(-2, 3)}}
+        got, want = bir.eval_exp(before, {}, interp), bir.eval_exp(after, {}, interp)
+        assert bir.mem_equal(got, want) if before.ty is bir.Mem else got == want
+
+
 def test_simplify_preserves_eval_on_random_exprs():
     from test_bir import random_exp
     rng = random.Random(31)
