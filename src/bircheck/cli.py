@@ -207,7 +207,9 @@ def cmd_bench(args):
     rows.sort(key=lambda r: r["instrs"])
     print(f"{'program':18s} {'#instr':>7s} {'leaves':>7s} {'time':>9s}")
     for r in rows:
-        print(f"{r['name']:18s} {r['instrs']:7d} {r['leaves']:7d} {r['seconds']:8.3f}s")
+        result = (f"error: {r['error']}" if "error" in r else
+                  f"{r['leaves']:7d} {r['seconds']:8.3f}s")
+        print(f"{r['name']:18s} {r['instrs']:7d} {result}")
     if args.csv:
         with open(args.csv, "w", newline="") as f:
             w = csv.DictWriter(f, fieldnames=["name", "instrs", "leaves", "seconds",

@@ -552,9 +552,10 @@ def execute(bc: BirContract, config: symexec.EngineConfig | None = None,
     seen = {}
     for e in (bc.pre, *bc.post.values()):
         bir._collect_vars(e, seen)
-    return symexec.execute(bc.program, bc.entry, bc.endpoints, bc.forbidden,
-                           bc.pre, config, solver or SolverConfig(),
-                           extra_vars=list(seen.values()))
+    solver = solver or SolverConfig()
+    with solver.session():
+        return symexec.execute(bc.program, bc.entry, bc.endpoints, bc.forbidden,
+                               bc.pre, config, solver, extra_vars=list(seen.values()))
 
 
 def verify(bc: BirContract, config: symexec.EngineConfig | None = None,
@@ -587,41 +588,42 @@ def verify(bc: BirContract, config: symexec.EngineConfig | None = None,
                     "seconds": round(dt, 6)})
         return v
 
-    t0 = time.perf_counter()
-    try:
-        structure = execute(bc, config, solver)
-    except (symexec.BudgetExhausted, symexec.IndirectTargetUnbounded) as e:
-        budget = "budget exhausted: " if isinstance(e, symexec.BudgetExhausted) else ""
-        return VerificationResult("unknown", reason=f"{budget}{e}",
-                                  times={"total": time.perf_counter() - t_start,
-                                         "symex": time.perf_counter() - t0})
-    t_symex = time.perf_counter() - t0
+    with solver.session():  # the run's checks share one solver child
+        t0 = time.perf_counter()
+        try:
+            structure = execute(bc, config, solver)
+        except (symexec.BudgetExhausted, symexec.IndirectTargetUnbounded) as e:
+            budget = "budget exhausted: " if isinstance(e, symexec.BudgetExhausted) else ""
+            return VerificationResult("unknown", reason=f"{budget}{e}",
+                                      times={"total": time.perf_counter() - t_start,
+                                             "symex": time.perf_counter() - t0})
+        t_symex = time.perf_counter() - t0
 
-    result = VerificationResult("verified", leaf_count=len(structure.leaves),
-                                structure=structure, obligations=log)
-    unknown_reason = ""
-    for leaf in structure.leaves:
-        at_endpoint = leaf.at in bc.endpoints
-        v = discharge(leaf, entailment=at_endpoint)
-        if v.is_sat:
-            result.verdict = "refuted"
-            result.endpoint = leaf.at
-            result.counterexample = v.model
-            result.reason = (f"postcondition violated at 0x{leaf.at:x}" if at_endpoint
-                             else "forbidden label reached" if leaf.at in bc.forbidden
-                             else f"leaf at non-endpoint 0x{leaf.at:x}")
-            break
-        # an unsat non-endpoint leaf is a path that cannot run
-        if not v.is_unsat:
-            unknown_reason = (f"solver returned {v.status} for post@0x{leaf.at:x}"
-                              if at_endpoint else f"feasibility unknown at 0x{leaf.at:x}")
-            unknown_reason += f" ({v.reason})"
-    if result.verdict == "verified" and unknown_reason:
-        result.verdict = "unknown"
-        result.reason = unknown_reason
-    result.times = {"total": time.perf_counter() - t_start,
-                    "symex": t_symex, "solver": t_solver}
-    return result
+        result = VerificationResult("verified", leaf_count=len(structure.leaves),
+                                    structure=structure, obligations=log)
+        unknown_reason = ""
+        for leaf in structure.leaves:
+            at_endpoint = leaf.at in bc.endpoints
+            v = discharge(leaf, entailment=at_endpoint)
+            if v.is_sat:
+                result.verdict = "refuted"
+                result.endpoint = leaf.at
+                result.counterexample = v.model
+                result.reason = (f"postcondition violated at 0x{leaf.at:x}" if at_endpoint
+                                 else "forbidden label reached" if leaf.at in bc.forbidden
+                                 else f"leaf at non-endpoint 0x{leaf.at:x}")
+                break
+            # an unsat non-endpoint leaf is a path that cannot run
+            if not v.is_unsat:
+                unknown_reason = (f"solver returned {v.status} for post@0x{leaf.at:x}"
+                                  if at_endpoint else f"feasibility unknown at 0x{leaf.at:x}")
+                unknown_reason += f" ({v.reason})"
+        if result.verdict == "verified" and unknown_reason:
+            result.verdict = "unknown"
+            result.reason = unknown_reason
+        result.times = {"total": time.perf_counter() - t_start,
+                        "symex": t_symex, "solver": t_solver}
+        return result
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 """SMTLIB2 encoding of verification obligations and solver subprocess driving.
 
-Obligations are checked one-shot: a QF_ABV script is written to the solver's
-stdin and the sat/unsat/unknown verdict (plus a model, when sat) is read back.
-The bundled `bircheck-smt` solver is used when no external solver is
-configured. It starts as `python -S -c <stub>`, a one-line stub that imports
-minismt, so the child loads the solver from cached bytecode. Any SMTLIB2
-solver supporting QF_ABV (e.g. z3) works via
-`SolverConfig(argv=["z3", "-in"])` or the BIRCHECK_SOLVER environment
-variable.
+Each obligation is one QF_ABV script: it goes to the solver, and the
+sat/unsat/unknown verdict (plus a model, when sat) comes back. The bundled
+`bircheck-smt` solver is used when no external solver is configured. It
+starts as `python -S -c <stub>`, a one-line stub that imports minismt, so the
+child loads the solver from cached bytecode, and with `--serve` it answers
+length-framed scripts until its stdin closes. One such child serves every
+check of a run: it starts at the run's first check and is killed and reaped
+when the run ends (`SolverConfig.session`, which `contracts.verify` and
+`contracts.execute` open) or at a timeout, after which the next check starts
+a fresh one. Any other command line -- an SMTLIB2 solver supporting
+QF_ABV (e.g. z3) via `SolverConfig(argv=["z3", "-in"])` or the
+BIRCHECK_SOLVER environment variable -- runs as one process per check, fed
+the script on stdin.
 
 Abbreviation definitions stay in the engine: `_terms_of` closes an obligation
 over the definitions it reaches, so scripts and models name free symbols only.
@@ -19,15 +24,18 @@ hard error.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
+import selectors
 import shlex
 import shutil
 import signal
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -100,25 +108,30 @@ class SolverVerdict:
         return self.status == "unsat"
 
 
+# A script run as __main__ is compiled from source on every start, so the
+# bundled solver's child imports minismt instead. The import system keeps its
+# bytecode in the standard __pycache__/ next to minismt.py: written atomically,
+# checked against the source's mtime and size at every start, and when it
+# cannot be written the child compiles, as a script would. The stub turns
+# bytecode writing back on, which PYTHONDONTWRITEBYTECODE turns off. minismt
+# imports only sys, so the child needs no importable bircheck (no
+# PYTHONPATH), and -S skips site set-up. One round trip of a 3-line unsat
+# script (2-core VM, median of 15): 49 ms as a script or through the stub
+# without a cache, 18-19 ms through the stub with it, 11-17 ms for
+# `python -S -c pass`.
+_BUNDLED_ARGV = [sys.executable, "-S", "-c",
+                 "import sys; sys.dont_write_bytecode = False; "
+                 f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r}); "
+                 "import minismt; sys.exit(minismt.main())"]
+
+
 def default_solver_argv():
+    """BIRCHECK_SOLVER's command line, else the bundled solver's, which
+    answers the script on its stdin or in the file it is given."""
     env = os.environ.get("BIRCHECK_SOLVER")
     if env:
         return shlex.split(env)
-    # A script run as __main__ is compiled from source on every start, so the
-    # child imports minismt instead. The import system keeps its bytecode in
-    # the standard __pycache__/ next to minismt.py: written atomically,
-    # checked against the source's mtime and size at every start, and when it
-    # cannot be written the child compiles, as a script would. The stub turns
-    # bytecode writing back on, which PYTHONDONTWRITEBYTECODE turns off.
-    # minismt imports only sys, so the child needs no importable bircheck (no
-    # PYTHONPATH), and -S skips site set-up. One round trip of a 3-line unsat
-    # script (2-core VM, median of 15): 49 ms as a script or through the stub
-    # without a cache, 18-19 ms through the stub with it, 11-17 ms for
-    # `python -S -c pass`.
-    smt_dir = os.path.dirname(os.path.abspath(__file__))
-    return [sys.executable, "-S", "-c",
-            f"import sys; sys.dont_write_bytecode = False; sys.path.insert(0, {smt_dir!r}); "
-            "import minismt; sys.exit(minismt.main())"]
+    return list(_BUNDLED_ARGV)
 
 
 @dataclass
@@ -128,6 +141,12 @@ class SolverConfig:
     dump_dir: str | None = None
     pool: ClassVar[int] = 4        # threads of `check_many`
     _dump_counter: int = field(default=0, init=False)
+    # the bundled solver's child, shared by the checks of one run (`session`)
+    _child: subprocess.Popen | None = field(default=None, init=False, compare=False,
+                                            repr=False)
+    _sessions: int = field(default=0, init=False, compare=False, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                  compare=False, repr=False)
 
     def __post_init__(self):
         if self.timeout is None or not 0 <= self.timeout < math.inf:
@@ -140,6 +159,96 @@ class SolverConfig:
         """The first of `n` consecutive, not yet used dump file numbers."""
         self._dump_counter += n
         return self._dump_counter - n + 1
+
+    @contextlib.contextmanager
+    def session(self):
+        """The scope of one run.  The bundled solver's checks inside it share
+        one child, started at the first check; when the outermost scope exits,
+        however it exits, the child is killed and reaped."""
+        with self._lock:
+            self._sessions += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._sessions -= 1
+                if not self._sessions:
+                    self._stop()
+
+    def _stop(self):
+        """Kill the child, if there is one, and reap it; the caller holds
+        `_lock`.  Between checks the child holds nothing but its interpreter,
+        and SIGKILL spares the 2-3 ms its exit at stdin's EOF would take."""
+        child, self._child = self._child, None
+        if child is None:
+            return
+        if child.returncode is None:  # not reaped, so its pid still names its group
+            os.killpg(child.pid, signal.SIGKILL)
+        child.stdin.close()
+        child.stdout.close()
+        child.wait()
+
+    def _ask(self, text):
+        """(stdout, stderr) of the bundled solver for script `text`: one round
+        trip to the session's child, which is started if there is none.
+
+        The child runs `minismt.main(["--serve"])`: the request is the
+        script's length in bytes, a newline and the script; the reply is the
+        lengths of what the script printed and of its reason for an unknown
+        (the one-shot solver's stderr), a newline, then both texts.  The
+        timeout bounds the whole round trip, the write included; at the
+        timeout, or at any other exception, the child is killed and reaped, so
+        the next check starts a fresh one."""
+        data = text.encode()
+        request = memoryview(b"%d\n%s" % (len(data), data))
+        reply = bytearray()
+        size = None                # of the whole reply, once its header is in
+        with self._lock:
+            if self._child is None:
+                self._child = subprocess.Popen(
+                    [*self.argv, "--serve"], stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                    start_new_session=True)
+                os.set_blocking(self._child.stdin.fileno(), False)
+            child = self._child
+            w, r = child.stdin.fileno(), child.stdout.fileno()
+            deadline = time.monotonic() + self.timeout
+            try:
+                with selectors.DefaultSelector() as sel:
+                    sel.register(w, selectors.EVENT_WRITE)
+                    sel.register(r, selectors.EVENT_READ)
+                    while size is None or len(reply) < size:
+                        left = deadline - time.monotonic()
+                        ready = {key.fd for key, _ in sel.select(left)} if left > 0 else ()
+                        if not ready:
+                            raise subprocess.TimeoutExpired(self.argv, self.timeout)
+                        if w in ready:
+                            try:
+                                request = request[os.write(w, request):]
+                            except BrokenPipeError:  # gone: its stdout's EOF tells
+                                request = request[:0]
+                            if not request:
+                                sel.unregister(w)
+                        if r in ready:
+                            chunk = os.read(r, 1 << 16)
+                            if not chunk:
+                                self._stop()
+                                raise SolverCrash(f"solver exited with status "
+                                                  f"{child.returncode} before it answered")
+                            reply += chunk
+                        if size is None and b"\n" in reply:
+                            head = bytes(reply[:reply.index(b"\n") + 1])
+                            try:
+                                n_out, n_err = map(int, head.split())
+                            except ValueError:
+                                raise SolverCrash(f"malformed solver reply {head[:200]!r}") \
+                                    from None
+                            size = len(head) + n_out + n_err
+            except BaseException:
+                self._stop()
+                raise
+        body = len(head) + n_out
+        return reply[len(head):body].decode(), reply[body:].decode()
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +481,11 @@ def _run_solver(argv, text, timeout):
 
 def check(obl: Obligation, cfg: SolverConfig | None = None, *,
           dump_no: int | None = None) -> SolverVerdict:
-    """Run the obligation through the configured solver subprocess.  With a
-    dump directory the script is saved as file number `dump_no` (default:
+    """Run the obligation through the configured solver: the bundled solver
+    answers in the session's child (a child of its own outside a session),
+    any other solver in a process of its own.  `cfg.timeout` bounds the
+    round trip; past it the verdict is `unknown` with reason `timeout`.  With
+    a dump directory the script is saved as file number `dump_no` (default:
     the next free number)."""
     cfg = cfg or SolverConfig()
     text = encode(obl)
@@ -388,7 +500,11 @@ def check(obl: Obligation, cfg: SolverConfig | None = None, *,
     if cfg.timeout <= 0:
         return SolverVerdict("unknown", reason="timeout")
     try:
-        out, err = _run_solver(cfg.argv, text, cfg.timeout)
+        if cfg.argv == _BUNDLED_ARGV:
+            with cfg.session():
+                out, err = cfg._ask(text)
+        else:
+            out, err = _run_solver(cfg.argv, text, cfg.timeout)
     except subprocess.TimeoutExpired:
         return SolverVerdict("unknown", reason="timeout")
     except OSError as e:
@@ -414,9 +530,11 @@ def check(obl: Obligation, cfg: SolverConfig | None = None, *,
 
 
 def check_many(obligations, cfg: SolverConfig | None = None):
-    """Check independent obligations on a bounded subprocess pool, preserving
-    input order in the result list.  Dump files are numbered in input order,
-    whichever thread finishes first."""
+    """Check independent obligations on `SolverConfig.pool` threads, each
+    calling `check`, preserving input order in the result list.  The threads
+    share one session, so the bundled solver's child answers them one at a
+    time.  Dump files are numbered in input order, whichever thread finishes
+    first."""
     cfg = cfg or SolverConfig()
     obls = list(obligations)
     if cfg.dump_dir:
@@ -424,5 +542,5 @@ def check_many(obligations, cfg: SolverConfig | None = None):
         dump_nos = range(first, first + len(obls))
     else:
         dump_nos = [None] * len(obls)
-    with ThreadPoolExecutor(max_workers=cfg.pool) as ex:
+    with cfg.session(), ThreadPoolExecutor(max_workers=cfg.pool) as ex:
         return list(ex.map(lambda o, no: check(o, cfg, dump_no=no), obls, dump_nos))

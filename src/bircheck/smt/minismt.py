@@ -13,6 +13,7 @@ solver such as z3.  Formulas are decided by word-level rewriting followed by
 bit-blasting to CNF and CDCL search.  Everything is deterministic.
 
 Usage: bircheck-smt [file.smt2]    (reads stdin when no file is given)
+       bircheck-smt --serve        (scripts framed on stdin; see `main`)
 """
 
 from __future__ import annotations
@@ -1424,7 +1425,29 @@ def run_script(text, out):
 
 
 def main(argv=None):
+    """Answer one script, from the file named in `argv` or from stdin; or,
+    with `--serve`, answer length-framed scripts on stdin until EOF."""
     argv = sys.argv[1:] if argv is None else argv
+    if argv == ["--serve"]:
+        import io
+        inp, out = sys.stdin.buffer, sys.stdout.buffer
+        # a request is "<n>\n" and an n-byte script; a reply is "<n> <m>\n",
+        # the n bytes the script printed and the m bytes of the stderr a
+        # one-shot run would write: the unknown's reason, or a traceback
+        while head := inp.readline():
+            answer, reason = io.StringIO(), ""
+            try:
+                run_script(inp.read(int(head)).decode(), answer)
+            except SmtInputError as e:
+                answer.write("unknown\n")
+                reason = f"minismt: {e}\n"
+            except Exception:  # no verdict: the client reports the traceback
+                import traceback
+                reason = traceback.format_exc()
+            reply = answer.getvalue().encode(), reason.encode()
+            out.write(b"%d %d\n%s%s" % (*map(len, reply), *reply))
+            out.flush()
+        return 0
     if argv:
         with open(argv[0]) as f:
             text = f.read()

@@ -1,4 +1,5 @@
 import random
+import subprocess
 
 import pytest
 
@@ -10,6 +11,20 @@ from bircheck.smt import SolverConfig
 @pytest.fixture(scope="session")
 def solver():
     return SolverConfig()
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every process started through `subprocess.Popen` while the test runs."""
+    started = []
+
+    class Spy(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Spy)
+    return started
 
 
 def random_instrs(rng, n, base):

@@ -4,10 +4,11 @@ import os
 import signal
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from bircheck import cli, symexec
+from bircheck import cli, contracts, symexec
 from bircheck.cli import main
 from bircheck.corpus import asm, fixture
 from bircheck.smt import SolverConfig, backend
@@ -16,15 +17,18 @@ from bircheck.symexec import EngineConfig
 from conftest import chain_program
 
 
+def _fixture_files(tmp_path, name):
+    """Paths of a corpus fixture's listing and contract, written to `tmp_path`."""
+    dis, rc = fixture(name)
+    d, c = tmp_path / f"{name}.dis", tmp_path / f"{name}.ctr"
+    d.write_text(dis)
+    c.write_text(contracts.print_contract(rc))
+    return str(d), str(c)
+
+
 @pytest.fixture
 def incr_files(tmp_path):
-    dis, rc = fixture("incr")
-    d = tmp_path / "incr.dis"
-    d.write_text(dis)
-    from bircheck.contracts import print_contract
-    c = tmp_path / "incr.ctr"
-    c.write_text(print_contract(rc))
-    return str(d), str(c)
+    return _fixture_files(tmp_path, "incr")
 
 
 def test_lift_prints_block_serialization(incr_files, capsys):
@@ -148,6 +152,13 @@ def test_bench_engine_flags_override_fixture_settings(tmp_path, capsys):
         # isqrt's own bound is 5
         assert f"revisited beyond unroll bound {unroll}" in by_name["isqrt"]["error"]
         assert by_name["incr"]["error"] == ""  # no loop: the bound does not matter
+
+
+def test_bench_prints_why_a_program_failed(capsys):
+    assert main(["bench", "--unroll", "0"]) == 0
+    row, = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("isqrt ")]
+    assert "revisited beyond unroll bound 0" in row and "nan" not in row
 
 
 def test_bench_external_corpus_dir(tmp_path, capsys):
@@ -397,6 +408,56 @@ def _running(pid):
             return f.read().rsplit(")", 1)[1].split()[0] != "Z"
     except FileNotFoundError:
         return False
+
+
+def _reaped(children):
+    return children and all(p.returncode is not None and not _running(p.pid)
+                            for p in children)
+
+
+def test_verify_runs_one_bundled_solver_child(tmp_path, spawned, capsys):
+    d, c = _fixture_files(tmp_path, "motor")
+    assert main(["verify", d, c]) == 0  # 49 checks
+    assert len(spawned) == 1 and _reaped(spawned)
+
+
+def test_solver_flag_keeps_one_process_per_check(tmp_path, spawned, capsys):
+    d, c = _fixture_files(tmp_path, "isqrt")
+    minismt = Path(backend.__file__).with_name("minismt.py")
+    assert main(["verify", d, c, "--unroll", "5",
+                 "--solver", f"{sys.executable} -S {minismt}"]) == 0
+    assert len(spawned) == 12 and _reaped(spawned)  # isqrt's 12 checks
+
+
+def test_no_solver_child_outlives_a_run(tmp_path, spawned, monkeypatch, capsys):
+    d, c = _fixture_files(tmp_path, "isqrt")
+    assert main(["symex", d, "--contract", c]) == 3  # BudgetExhausted after a check
+    assert len(spawned) == 1 and _reaped(spawned)
+    assert main(["bench"]) == 0
+    assert _reaped(spawned)
+    d, c = _fixture_files(tmp_path, "motor")
+
+    def bad_model(text):
+        raise backend.ModelParseError("unparsable model value")
+
+    monkeypatch.setattr(backend, "parse_model", bad_model)  # motor's first sat raises
+    n = len(spawned)
+    assert main(["verify", d, c]) == 4
+    assert "error: ModelParseError" in capsys.readouterr().err
+    assert len(spawned) == n + 1 and _reaped(spawned)
+
+
+def test_solver_child_killed_between_checks_exits_4(tmp_path, monkeypatch, capsys):
+    d, c = _fixture_files(tmp_path, "motor")
+
+    def check_then_kill(obl, cfg):
+        v = backend.check(obl, cfg)
+        os.killpg(cfg._child.pid, signal.SIGKILL)
+        return v
+
+    monkeypatch.setattr(contracts, "check", check_then_kill)  # motor's 17 leaf checks
+    assert main(["verify", d, c]) == 4
+    assert "error: SolverCrash: solver exited with status -9" in capsys.readouterr().err
 
 
 def test_solver_unknown_reason_reaches_the_report(incr_files, tmp_path, capsys):

@@ -6,9 +6,11 @@ import os
 import random
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -16,10 +18,14 @@ import pytest
 import bircheck
 from bircheck import bir
 from bircheck.bir import binop, binpred, cast, const, load, store, sym
-from bircheck.smt import (Obligation, SolverConfig, check, default_solver_argv,
-                          encode, model_check_stats)
+from bircheck import contracts
+from bircheck.corpus import fixture_config, fixture_names
+from bircheck.smt import (Obligation, SolverConfig, SolverCrash, check, check_many,
+                          default_solver_argv, encode, model_check_stats)
 from bircheck.smt import backend
 from bircheck.smt.minismt import run_script
+
+from conftest import load_fixture
 
 S = sym("s_x10", bir.Imm64)
 P = sym("pre_x10", bir.Imm64)
@@ -554,3 +560,120 @@ def test_minismt_runs_as_a_module_without_a_second_load():
                                 "(check-sat)\n",
                           capture_output=True, text=True, env=env)
     assert (proc.stdout, proc.returncode, proc.stderr) == ("unsat\n", 0, "")
+
+
+# -- the bundled solver's session: one child per run ---------------------------
+
+ENTAILED = Obligation("entailment", (binpred("eq", S, P),), binpred("eq", P, S))
+
+
+def _serve(scripts):
+    """(printed, reason) for each script, answered by one `--serve` child."""
+    request = b"".join(b"%d\n%s" % (len(t.encode()), t.encode()) for t in scripts)
+    proc = subprocess.run(default_solver_argv() + ["--serve"], input=request,
+                          capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    replies, rest = [], proc.stdout
+    while rest:
+        head, _, rest = rest.partition(b"\n")
+        n_out, n_err = map(int, head.split())
+        replies.append((rest[:n_out].decode(), rest[n_out:n_out + n_err].decode()))
+        rest = rest[n_out + n_err:]
+    return replies
+
+
+def test_serve_answers_every_fixture_dump_as_a_one_shot_run(tmp_path, monkeypatch):
+    monkeypatch.delenv("BIRCHECK_SOLVER", raising=False)
+    dumps = []
+    for name in fixture_names():
+        _, prog, _, rc = load_fixture(name)
+        if rc is None:
+            continue
+        contracts.verify(contracts.to_bir(rc, prog), fixture_config(name),
+                         SolverConfig(dump_dir=str(tmp_path / name)))
+        dumps += sorted((tmp_path / name).glob("*.smt2"))  # loopy makes none
+    assert len(dumps) >= 49 + 12  # motor's and isqrt's (--unroll 5) among them
+    texts = [d.read_text() for d in dumps]
+    rejected = f"(set-logic QF_ABV)\n{REJECTED_SCRIPTS['unary-eq']}\n(check-sat)\n"
+    replies = _serve([texts[0], rejected, *texts[1:]])
+    printed, reason = replies.pop(1)
+    assert printed == "unknown\n" and reason.startswith("minismt: ")
+    assert "Traceback" not in reason
+    assert len(replies) == len(dumps)  # the same child answers after the unknown
+    for d, reply in zip(dumps, replies):
+        one_shot = subprocess.run(default_solver_argv() + [str(d)], capture_output=True,
+                                  text=True, timeout=120)
+        # the verdict line and the model text, byte for byte
+        assert reply == (one_shot.stdout, one_shot.stderr), d.name
+
+
+def test_checks_in_one_session_share_one_child(spawned):
+    cfg = SolverConfig()
+    with cfg.session():
+        assert check(ENTAILED, cfg).is_unsat
+        assert all(v.is_unsat for v in check_many([ENTAILED] * 5, cfg))
+        assert len(spawned) == 1 and spawned[0].returncode is None
+    assert spawned[0].returncode == -signal.SIGKILL  # killed and reaped
+    # a check outside any session starts and reaps a child of its own
+    assert check(ENTAILED, cfg).is_unsat
+    assert len(spawned) == 2 and spawned[1].returncode == -signal.SIGKILL
+
+
+def test_session_timeout_kills_the_child_and_the_next_check_gets_a_fresh_one(spawned):
+    # a ring identity minismt can only bit-blast: far beyond a second at 16 bits
+    k = sym("k", bir.Imm16)
+    k1 = binop("plus", k, const(16, 1))
+    rhs = binop("plus", binop("plus", binop("mult", k, k), binop("mult", const(16, 2), k)),
+                const(16, 1))
+    ring = Obligation("entailment", (), binpred("eq", binop("mult", k1, k1), rhs))
+    cfg = SolverConfig(timeout=1)
+    with cfg.session():
+        t0 = time.monotonic()
+        v = check(ring, cfg)
+        assert (v.status, v.reason) == ("unknown", "timeout")
+        assert time.monotonic() - t0 < 5
+        assert spawned[0].returncode == -signal.SIGKILL  # killed and reaped
+        assert check(ENTAILED, cfg).is_unsat
+    assert len(spawned) == 2 and spawned[1].returncode == -signal.SIGKILL
+
+
+def test_session_child_killed_between_checks_is_a_crash(spawned):
+    cfg = SolverConfig()
+    with cfg.session():
+        assert check(ENTAILED, cfg).is_unsat
+        os.killpg(spawned[0].pid, signal.SIGKILL)
+        with pytest.raises(SolverCrash, match="exited with status -9"):
+            check(ENTAILED, cfg)
+        assert spawned[0].returncode == -signal.SIGKILL
+        assert check(ENTAILED, cfg).is_unsat  # the next check starts a fresh child
+    assert len(spawned) == 2 and spawned[1].returncode == -signal.SIGKILL
+
+
+def test_threads_sharing_a_session_each_get_their_own_answer(spawned):
+    # more threads than cores, switching often: a reply read by the wrong
+    # thread would give it another thread's model
+    cfg, answers, errors = SolverConfig(), {}, []
+
+    def ask(k):
+        try:
+            for _ in range(5):
+                v = check(Obligation("feasibility", (), binpred("eq", S, const(64, k))), cfg)
+                answers.setdefault(k, set()).add(v.model["s_x10"])
+        except BaseException as e:  # reported by the main thread
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with cfg.session():
+            threads = [threading.Thread(target=ask, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert answers == {k: {k} for k in range(8)}
+    assert len(spawned) == 1 and spawned[0].returncode == -signal.SIGKILL
